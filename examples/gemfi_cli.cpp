@@ -55,8 +55,6 @@
 //                                      gemfi_now_master / gemfi_now_worker
 //                                      for campaigns spanning real hosts
 //             [--slots=<k>]            experiment slots per --now-local worker
-//             [--now-unix=<path>]      serve the local fleet over an AF_UNIX
-//                                      socket instead of loopback TCP
 //             [--stop-ci=EPS[@CONF]]   sequential early stop: end the campaign
 //                                      once every outcome CI half-width is
 //                                      below EPS at CONF (default 0.99)
@@ -112,7 +110,7 @@ namespace {
                "           [--out=<file.jsonl>] [--progress] [--deadline=<sec>]\n"
                "           [--retries=<k>] [--ckpt-format=v1|v2] [--no-ckpt-compress]\n"
                "           [--no-shared-baseline] [--now-local=<n>] [--slots=<k>]\n"
-               "           [--now-unix=<path>] [--stop-ci=EPS[@CONF]] "
+               "           [--stop-ci=EPS[@CONF]] "
                "[--autoscale=MIN:MAX]\n"
                "           [--colstore=<file.gfcs>]\n"
                "           [--syscall-fault=<line>] [--random-syscall-faults]\n"
@@ -203,7 +201,6 @@ int main(int argc, char** argv) {
   std::string record_path;  // --replay: original campaign JSONL to check against
   unsigned workers = 1;
   unsigned now_local = 0;
-  std::string now_unix;       // --now-unix: AF_UNIX path for the local fleet
   std::string colstore_path;  // --colstore: columnar result store
   campaign::StopPolicy stop_policy;
   unsigned autoscale_min = 0, autoscale_max = 0;
@@ -255,8 +252,6 @@ int main(int argc, char** argv) {
       workers = parse_u32_flag("workers", arg.substr(10));
     } else if (arg.rfind("--now-local=", 0) == 0) {
       now_local = parse_u32_flag("now-local", arg.substr(12));
-    } else if (arg.rfind("--now-unix=", 0) == 0) {
-      now_unix = arg.substr(11);
     } else if (arg.rfind("--stop-ci=", 0) == 0) {
       try {
         stop_policy = campaign::parse_stop_ci(arg.substr(10));
@@ -304,11 +299,9 @@ int main(int argc, char** argv) {
   }
   if (app_name.empty() == program_path.empty()) usage(argv[0]);  // exactly one
   if (campaign_n != 0 && replay_index >= 0) usage(argv[0]);
-  // Early stopping, elasticity and the unix transport live in the NoW
-  // dispatch layer; they need the multi-process path.
-  if ((stop_policy.enabled() || autoscale_max > 0 || !now_unix.empty()) &&
-      now_local == 0)
-    usage(argv[0]);
+  // Early stopping and elasticity live in the NoW dispatch layer; they need
+  // the multi-process path.
+  if ((stop_policy.enabled() || autoscale_max > 0) && now_local == 0) usage(argv[0]);
 
   std::vector<fi::Fault> faults;
   if (!fault_path.empty()) {
@@ -512,7 +505,6 @@ int main(int argc, char** argv) {
       campaign::DispatchConfig dcfg;
       dcfg.handle_sigint = true;  // ^C drains gracefully, partial JSONL survives
       dcfg.stop = stop_policy;
-      dcfg.unix_path = now_unix;
       dcfg.autoscale.min_workers = autoscale_min;
       dcfg.autoscale.max_workers = autoscale_max;
       campaign::DispatchReport dr;

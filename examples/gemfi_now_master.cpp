@@ -11,11 +11,8 @@
 //       [--local-workers=<n>]  additionally fork n loopback workers
 //       [--slots=<k>]          slots for the forked loopback workers
 //       [--worker-timeout=<s>] silence before a worker is declared dead
-//       [--slow-redispatch=<s>] re-dispatch an experiment stuck this long
 //       [--out=<file.jsonl>] [--progress]
 //       [--colstore=<file.gfcs>] columnar result store for gemfi_query
-//       [--unix=<path>]        also serve same-host workers over an AF_UNIX
-//                              socket (forked --local-workers use it too)
 //       [--stop-ci=EPS[@CONF]] sequential early stop: end the campaign once
 //                              every outcome CI half-width is below EPS at
 //                              CONF confidence (default 0.99); deterministic
@@ -49,10 +46,10 @@ namespace {
   std::fprintf(stderr,
                "usage: %s --app=<name> --campaign=<n> [--seed=<u64>] [--bind=<addr>]\n"
                "           [--port=<p>] [--local-workers=<n>] [--slots=<k>]\n"
-               "           [--worker-timeout=<s>] [--slow-redispatch=<s>]\n"
+               "           [--worker-timeout=<s>]\n"
                "           [--out=<file.jsonl>] [--progress] [--cpu=atomic|timing|"
                "pipelined]\n"
-               "           [--colstore=<file.gfcs>] [--unix=<path>] [--stop-ci=EPS[@CONF]]\n"
+               "           [--colstore=<file.gfcs>] [--stop-ci=EPS[@CONF]]\n"
                "           [--autoscale=MIN:MAX]\n"
                "           [--paper] [--deadline=<s>] [--retries=<k>] [--watchdog-mult=<k>]\n"
                "           [--no-fastmode]\n",
@@ -90,11 +87,8 @@ int main(int argc, char** argv) {
       slots = parse_u32_flag("slots", arg.substr(8));
     else if (arg.rfind("--worker-timeout=", 0) == 0)
       dcfg.worker_timeout_s = parse_f64_flag("worker-timeout", arg.substr(17));
-    else if (arg.rfind("--slow-redispatch=", 0) == 0)
-      dcfg.slow_redispatch_s = parse_f64_flag("slow-redispatch", arg.substr(18));
     else if (arg.rfind("--out=", 0) == 0) out_path = arg.substr(6);
     else if (arg.rfind("--colstore=", 0) == 0) colstore_path = arg.substr(11);
-    else if (arg.rfind("--unix=", 0) == 0) dcfg.unix_path = arg.substr(7);
     else if (arg.rfind("--stop-ci=", 0) == 0) {
       try {
         dcfg.stop = campaign::parse_stop_ci(arg.substr(10));
@@ -180,22 +174,15 @@ int main(int argc, char** argv) {
                  unsigned(master.port()));
 
     campaign::LocalWorkerPool pool;
-    const bool over_unix = !dcfg.unix_path.empty();
     if (dcfg.autoscale.enabled() &&
         local_workers > dcfg.autoscale.max_workers)
       local_workers = dcfg.autoscale.max_workers;
     if (local_workers > 0)
-      pool = over_unix ? campaign::LocalWorkerPool::spawn_unix(
-                             local_workers, dcfg.unix_path, slots)
-                       : campaign::LocalWorkerPool::spawn(local_workers,
-                                                          master.port(), slots);
+      pool = campaign::LocalWorkerPool::spawn(local_workers, master.port(), slots);
     if (dcfg.autoscale.enabled()) {
       const std::uint16_t port = master.port();
-      const std::string unix_path = dcfg.unix_path;
-      master.set_spawn_callback([&pool, port, unix_path, slots](unsigned n) {
-        if (!unix_path.empty()) pool.grow_unix(n, unix_path, slots);
-        else pool.grow(n, port, slots);
-      });
+      master.set_spawn_callback(
+          [&pool, port, slots](unsigned n) { pool.grow(n, port, slots); });
     }
 
     const campaign::DispatchReport dr = master.run();
@@ -204,11 +191,10 @@ int main(int argc, char** argv) {
 
     std::fprintf(stderr,
                  "NoW service: %zu/%zu experiments in %.2fs — %u workers joined, "
-                 "%u lost, %llu requeued, %llu redispatched, %llu duplicates, "
+                 "%u lost, %llu requeued, %llu duplicates, "
                  "%.1f KiB checkpoint shipped%s\n",
                  dr.completed, faults.size(), dr.wall_seconds, dr.workers_joined,
                  dr.workers_lost, (unsigned long long)dr.requeued,
-                 (unsigned long long)dr.redispatched,
                  (unsigned long long)dr.duplicate_results,
                  double(dr.checkpoint_bytes_shipped) / 1024.0,
                  dr.drained_early ? " (drained early)" : "");

@@ -5,8 +5,6 @@
 //
 // Usage:
 //   gemfi_now_worker --host=<master> --port=<p> [--slots=<k>]
-//       [--unix=<path>]      connect over an AF_UNIX socket instead of TCP
-//                            (same-host fleets; --host/--port ignored)
 //       [--reconnects=<n>]   re-establish a lost connection up to n times
 //       [--connect-attempts=<n>] [--connect-backoff=<s>]
 //
@@ -27,7 +25,7 @@ namespace {
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --host=<master> --port=<p> [--slots=<k>] [--reconnects=<n>]\n"
-               "           [--unix=<path>] [--connect-attempts=<n>] [--connect-backoff=<s>]\n",
+               "           [--connect-attempts=<n>] [--connect-backoff=<s>]\n",
                argv0);
   std::exit(2);
 }
@@ -41,7 +39,6 @@ int main(int argc, char** argv) {
     if (arg.rfind("--host=", 0) == 0) wcfg.host = arg.substr(7);
     else if (arg.rfind("--port=", 0) == 0)
       wcfg.port = parse_u16_flag("port", arg.substr(7));
-    else if (arg.rfind("--unix=", 0) == 0) wcfg.unix_path = arg.substr(7);
     else if (arg.rfind("--slots=", 0) == 0)
       wcfg.slots = parse_u32_flag("slots", arg.substr(8));
     else if (arg.rfind("--reconnects=", 0) == 0)
@@ -52,15 +49,11 @@ int main(int argc, char** argv) {
       wcfg.connect_backoff_s = parse_f64_flag("connect-backoff", arg.substr(18));
     else usage(argv[0]);
   }
-  if (wcfg.port == 0 && wcfg.unix_path.empty()) usage(argv[0]);
+  if (wcfg.port == 0) usage(argv[0]);
   if (wcfg.slots == 0) wcfg.slots = 1;
 
-  if (wcfg.unix_path.empty())
-    std::fprintf(stderr, "worker: connecting to %s:%u with %u slots\n",
-                 wcfg.host.c_str(), unsigned(wcfg.port), wcfg.slots);
-  else
-    std::fprintf(stderr, "worker: connecting to unix:%s with %u slots\n",
-                 wcfg.unix_path.c_str(), wcfg.slots);
+  std::fprintf(stderr, "worker: connecting to %s:%u with %u slots\n",
+               wcfg.host.c_str(), unsigned(wcfg.port), wcfg.slots);
   const int rc = campaign::run_worker(wcfg);
   std::fprintf(stderr, "worker: %s\n",
                rc == 0 ? "clean shutdown"

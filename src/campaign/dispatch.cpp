@@ -1,10 +1,10 @@
 #include "campaign/dispatch.hpp"
 
-#include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdio>
@@ -12,12 +12,10 @@
 #include <mutex>
 #include <optional>
 #include <thread>
-#include <unordered_map>
 
 #include "campaign/observer.hpp"
 #include "campaign/wire.hpp"
 #include "net/frame.hpp"
-#include "net/sigint.hpp"
 #include "net/socket.hpp"
 
 namespace gemfi::campaign {
@@ -25,11 +23,7 @@ namespace gemfi::campaign {
 namespace {
 
 using net::mono_seconds;
-
-std::vector<std::uint8_t> frame_for(wire::MsgType type,
-                                    std::span<const std::uint8_t> payload) {
-  return net::encode_frame(std::uint8_t(type), payload);
-}
+using wire::frame_for;
 
 }  // namespace
 
@@ -52,26 +46,14 @@ Autoscaler::Decision Autoscaler::tick(double now, std::size_t backlog,
 }
 
 // ---------------------------------------------------------------------------
-// Master
+// Master: the fleet engine serving one pre-calibrated, unjournaled campaign
 // ---------------------------------------------------------------------------
 
-struct Master::Impl {
-  const CalibratedApp& ca;
-  std::vector<fi::Fault> faults;
+struct Master::Impl final : Fleet {
   CampaignConfig cfg;
   DispatchConfig dcfg;
-
-  net::TcpListener listener;
-  net::UnixListener unix_listener;  // valid only when dcfg.unix_path set
-  net::SelfPipe wake;
+  Lane lane;
   std::atomic<bool> drain_requested{false};
-
-  // Streaming analytics + the sequential stop rule (v5). The aggregator
-  // always runs (it is cheap); the stop rule only fires when dcfg.stop is
-  // enabled. `stopping` latches once so the cancel fan-out happens exactly
-  // once.
-  Aggregator agg;
-  bool stopping = false;
 
   // Elastic fleet. spawned_not_joined counts workers the spawn callback
   // started that have not sent Hello yet, so the policy does not re-spawn
@@ -79,416 +61,109 @@ struct Master::Impl {
   Autoscaler scaler;
   std::function<void(unsigned)> spawn_cb;
   unsigned spawned_not_joined = 0;
+  unsigned joined_seen = 0;  // workers_joined at the last autoscale tick
 
-  // The Welcome frame is serialized once: every joining worker receives the
-  // same bytes (the NoW "checkpoint copy" shipped per workstation).
-  std::vector<std::uint8_t> welcome_frame;
-  std::size_t welcome_payload_bytes = 0;
+  double first_worker_deadline = 0.0;
+  DispatchReport stats;  // master-only counters accumulate here during the run
 
-  struct WorkerConn {
-    unsigned id = 0;
-    net::TcpConn conn;
-    net::FrameReader reader;
-    unsigned slots = 0;
-    bool ready = false;     // Hello received, Welcome sent
-    bool retiring = false;  // autoscaler sent Shutdown; EOF is expected, not a loss
-    std::uint32_t busy_slots = 0;  // last Heartbeat's occupancy
-    net::FrameLiveness liveness;
-    double joined_at = 0.0;
-    std::unordered_map<std::uint64_t, double> inflight;  // index -> dispatch time
-
-    WorkerConn(net::TcpConn c, std::size_t max_frame, double now)
-        : conn(std::move(c)), reader(max_frame), joined_at(now) {
-      liveness.reset(now);
-    }
-  };
-  std::vector<std::unique_ptr<WorkerConn>> workers;
-  unsigned next_worker_id = 0;
-
-  // Completed results stream straight to cfg.observer (JSONL sink, progress
-  // printer) and are not retained: only these bitmaps scale with the
-  // campaign, so a million-experiment campaign costs the master two bytes
-  // per experiment, not a full ExperimentResult each.
-  std::deque<std::uint64_t> pending;
-  std::vector<std::uint8_t> done;
-  std::vector<std::uint8_t> redispatches;  // slow-path duplicates issued
-  std::size_t completed = 0;
-
-  DispatchReport stats;  // counters accumulate here during the run
-
-  Impl(const CalibratedApp& ca_in, const apps::AppScale& scale,
-       const std::vector<fi::Fault>& faults_in, const CampaignConfig& cfg_in,
+  Impl(const CalibratedApp& ca, const apps::AppScale& scale,
+       const std::vector<fi::Fault>& faults, const CampaignConfig& cfg_in,
        const DispatchConfig& dcfg_in)
-      : ca(ca_in), faults(faults_in), cfg(cfg_in), dcfg(dcfg_in),
-        agg(dcfg_in.stop, faults_in.size()), scaler(dcfg_in.autoscale) {
-    const auto payload = wire::encode_welcome(wire::Welcome::from(ca, scale, cfg));
-    welcome_payload_bytes = payload.size();
-    welcome_frame = frame_for(wire::MsgType::Welcome, payload);
-    listener = net::TcpListener::bind_listen(dcfg.bind_address, dcfg.port);
-    if (!dcfg.unix_path.empty())
-      unix_listener = net::UnixListener::bind_listen(dcfg.unix_path);
-
-    done.assign(faults.size(), 0);
-    redispatches.assign(faults.size(), 0);
-    for (std::uint64_t i = 0; i < faults.size(); ++i) pending.push_back(i);
+      : Fleet(dcfg_in), cfg(cfg_in), dcfg(dcfg_in), scaler(dcfg_in.autoscale) {
+    lane.id = 1;
+    lane.open(ca, scale, cfg, faults, dcfg.stop);
   }
 
-  [[nodiscard]] std::size_t total_inflight() const {
-    std::size_t n = 0;
-    for (const auto& w : workers) n += w->inflight.size();
-    return n;
+  bool serving() override {
+    if (!lane.running || lane.completed == lane.done.size()) return false;
+    // A drain ends once the last in-flight result is in.
+    return dispatching() || inflight_on(lane.id) != 0;
   }
 
-  void observe(std::uint64_t index, const ExperimentResult& er, unsigned worker_id) {
-    const ExperimentRecord rec{std::size_t(index), worker_id,
-                               experiment_seed(cfg.campaign_seed, index), er};
+  Lane* find_lane(std::uint64_t id) override { return id == lane.id ? &lane : nullptr; }
+
+  std::uint64_t pick_lane() override {
+    return lane.running && !lane.stopping ? lane.id : 0;
+  }
+
+  void on_record(Lane& /*lane*/, const ExperimentRecord& rec) override {
+    const ExperimentResult& er = rec.result;
+    ++stats.campaign.counts[std::size_t(er.classification.outcome)];
+    ++stats.campaign.syscall_counts[std::size_t(er.syscall_class.outcome)];
+    if (er.syscall_class.cascade_len > stats.campaign.max_cascade)
+      stats.campaign.max_cascade = er.syscall_class.cascade_len;
+    stats.experiment_wall_seconds += er.wall_seconds;
     if (cfg.observer) cfg.observer->on_experiment(rec);
-    if (agg.add(rec)) start_early_stop();
   }
 
-  /// The stop rule just held on the index-ordered prefix: stop dispatching,
-  /// reclaim every queued experiment (master-side queue + CancelQueue to the
-  /// workers), and emit the deterministic stopped_early summary. In-flight
-  /// experiments finish normally; the drain condition in run() does the rest.
-  void start_early_stop() {
-    if (stopping) return;
-    stopping = true;
-    stats.stopped_early = true;
-    stats.stop_index = agg.stop_index();
-    drain_requested.store(true, std::memory_order_relaxed);
-    stats.cancelled += pending.size();
-    pending.clear();
-    const auto frame = frame_for(wire::MsgType::CancelQueue, {});
-    for (const auto& w : workers) {
-      if (!w->ready) continue;
-      try {
-        w->conn.send_all(frame, /*timeout_s=*/2.0);
-      } catch (const std::exception&) {
-        // The regular liveness path reaps it; its queue dies with it.
-      }
+  void on_summary(Lane& /*lane*/, const std::string& json) override {
+    if (lane.stopping) {
+      stats.stopped_early = true;
+      stats.stop_index = lane.agg->stop_index();
     }
-    stats.aggregate_summary = agg.summary_json("stopped_early");
-    if (cfg.observer) cfg.observer->on_campaign_summary(stats.aggregate_summary);
+    stats.aggregate_summary = json;
+    if (cfg.observer) cfg.observer->on_campaign_summary(json);
   }
 
-  /// Forget `index` on every connection (a redispatched experiment may be in
-  /// flight on two workers when its first result lands).
-  void clear_inflight_everywhere(std::uint64_t index) {
-    for (const auto& w : workers) w->inflight.erase(index);
+  void on_sigint() override { drain_requested.store(true, std::memory_order_relaxed); }
+
+  [[nodiscard]] bool dispatching() const override {
+    return !drain_requested.load(std::memory_order_relaxed);
   }
 
-  void handle_result(WorkerConn& w, const wire::ResultMsg& msg) {
-    if (msg.index >= faults.size())
-      throw net::ProtocolError("result for unknown experiment " +
-                               std::to_string(msg.index));
-    w.inflight.erase(msg.index);
-    if (done[msg.index]) {
-      // Exactly-once: a redispatch or a zombie worker replayed it; first
-      // result won, drop this one.
-      ++stats.duplicate_results;
-      return;
-    }
-    done[msg.index] = 1;
-    ++completed;
-    ++stats.campaign.counts[std::size_t(msg.result.classification.outcome)];
-    ++stats.campaign.syscall_counts[std::size_t(msg.result.syscall_class.outcome)];
-    if (msg.result.syscall_class.cascade_len > stats.campaign.max_cascade)
-      stats.campaign.max_cascade = msg.result.syscall_class.cascade_len;
-    stats.experiment_wall_seconds += msg.result.wall_seconds;
-    clear_inflight_everywhere(msg.index);
-    observe(msg.index, msg.result, w.id);
-  }
-
-  void handle_frame(WorkerConn& w, const net::Frame& f) {
-    switch (wire::MsgType(f.type)) {
-      case wire::MsgType::Hello: {
-        if (w.ready) throw net::ProtocolError("duplicate Hello");
-        const wire::Hello hello = wire::decode_hello(f.payload);
-        w.slots = hello.slots;
-        w.conn.send_all(welcome_frame);
-        w.ready = true;
-        ++stats.workers_joined;
-        if (spawned_not_joined > 0) --spawned_not_joined;
-        stats.checkpoint_bytes_shipped += welcome_payload_bytes;
-        break;
-      }
-      case wire::MsgType::Result:
-        if (!w.ready) throw net::ProtocolError("Result before Hello");
-        handle_result(w, wire::decode_result(f.payload));
-        break;
-      case wire::MsgType::Heartbeat:
-        if (!w.ready) throw net::ProtocolError("Heartbeat before Hello");
-        w.busy_slots = wire::decode_heartbeat(f.payload).busy_slots;
-        break;
-      case wire::MsgType::CancelAck: {
-        if (!w.ready) throw net::ProtocolError("CancelAck before Hello");
-        // The worker dropped these queued-not-started experiments; they are
-        // uniquely owned (never redispatched after the stop), so forgetting
-        // them here lets the drain finish after only the running ones.
-        for (const std::uint64_t index : wire::decode_cancel_ack(f.payload).dropped)
-          if (index < faults.size() && !done[index] && w.inflight.erase(index) != 0)
-            ++stats.cancelled;
-        break;
-      }
-      default:
-        throw net::ProtocolError("unexpected message type " + std::to_string(f.type));
-    }
-  }
-
-  /// Drain readable bytes and process complete frames. Returns false if the
-  /// worker must be dropped (EOF or damage).
-  bool service_readable(WorkerConn& w, bool count_protocol_damage) {
-    std::uint8_t buf[64 * 1024];
-    try {
-      for (;;) {
-        const auto got = w.conn.recv_some(buf);
-        if (!got) return false;  // EOF
-        if (*got == 0) break;    // drained
-        w.reader.feed(std::span<const std::uint8_t>(buf, *got));
-        bool frame_completed = false;
-        while (auto f = w.reader.next()) {
-          frame_completed = true;
-          handle_frame(w, *f);
-        }
-        w.liveness.on_read(mono_seconds(), frame_completed, w.reader.buffered());
-      }
-      return true;
-    } catch (const std::exception&) {
-      // ProtocolError, DeserializeError from a decoder, or a SocketError on
-      // the Welcome send: the peer is unusable either way.
-      if (count_protocol_damage) ++stats.frames_rejected;
-      return false;
-    }
-  }
-
-  void requeue_worker_inflight(WorkerConn& w) {
-    for (const auto& [index, since] : w.inflight) {
-      (void)since;
-      if (done[index]) continue;
-      bool elsewhere = false;
-      for (const auto& other : workers)
-        if (other.get() != &w && other->inflight.count(index)) elsewhere = true;
-      if (elsewhere) continue;  // the redispatched copy is still running
-      pending.push_front(index);
-      ++stats.requeued;
-    }
-    w.inflight.clear();
-  }
-
-  void drop_worker(std::size_t i, bool lost) {
-    WorkerConn& w = *workers[i];
-    if (lost && w.ready && !w.retiring) ++stats.workers_lost;
-    requeue_worker_inflight(w);
-    workers.erase(workers.begin() + std::ptrdiff_t(i));
-  }
-
-  /// Ship up to `limit` pending experiments to worker `w`.
-  bool dispatch_to(WorkerConn& w, std::size_t limit) {
-    std::vector<wire::BatchItem> items;
-    const double now = mono_seconds();
-    while (items.size() < limit && !pending.empty()) {
-      const std::uint64_t index = pending.front();
-      pending.pop_front();
-      if (done[index]) continue;  // completed while queued for redispatch
-      items.push_back({index, faults[index].to_line()});
-      w.inflight.emplace(index, now);
-    }
-    if (items.empty()) return true;
-    try {
-      w.conn.send_all(frame_for(wire::MsgType::Batch, wire::encode_batch(items)));
-      return true;
-    } catch (const std::exception&) {
-      return false;
-    }
-  }
-
-  void dispatch_all() {
-    if (drain_requested.load(std::memory_order_relaxed)) return;
-    for (std::size_t i = 0; i < workers.size();) {
-      WorkerConn& w = *workers[i];
-      const std::size_t target = std::size_t(w.slots) * dcfg.pipeline_depth;
-      if (!w.ready || w.retiring || w.inflight.size() >= target || pending.empty()) {
-        ++i;
-        continue;
-      }
-      if (!dispatch_to(w, target - w.inflight.size())) {
-        drop_worker(i, /*lost=*/true);
-        continue;
-      }
-      ++i;
-    }
-  }
-
-  /// Slow-worker mitigation: an experiment stuck in flight past the
-  /// threshold is dispatched once more to a different worker with capacity;
-  /// dedup keeps whichever result lands first.
-  void redispatch_slow() {
-    if (dcfg.slow_redispatch_s <= 0.0) return;
-    const double now = mono_seconds();
-    for (const auto& slow : workers) {
-      if (!slow->ready) continue;
-      for (const auto& [index, since] : slow->inflight) {
-        if (done[index] || redispatches[index] != 0) continue;
-        if (now - since < dcfg.slow_redispatch_s) continue;
-        for (const auto& spare : workers) {
-          if (spare.get() == slow.get() || !spare->ready || spare->retiring) continue;
-          if (spare->inflight.size() >= std::size_t(spare->slots) * dcfg.pipeline_depth)
-            continue;
-          std::vector<wire::BatchItem> one{{index, faults[index].to_line()}};
-          try {
-            spare->conn.send_all(
-                frame_for(wire::MsgType::Batch, wire::encode_batch(one)));
-            spare->inflight.emplace(index, now);
-            redispatches[index] = 1;
-            ++stats.redispatched;
-          } catch (const std::exception&) {
-            // The spare just died; the regular timeout path reaps it.
-          }
-          break;
-        }
-      }
-    }
-  }
-
-  void reap_silent_workers() {
-    const double now = mono_seconds();
-    for (std::size_t i = 0; i < workers.size();) {
-      const WorkerConn& w = *workers[i];
-      if (w.liveness.expired(now, dcfg.worker_timeout_s, dcfg.frame_grace_s)) {
-        ++stats.peers_timed_out;
-        drop_worker(i, /*lost=*/true);
-      } else {
-        ++i;
-      }
-    }
+  void tick() override {
+    if (counters_.workers_joined == 0 && mono_seconds() > first_worker_deadline)
+      throw std::runtime_error("campaign master: no worker joined within " +
+                               std::to_string(dcfg.first_worker_timeout_s) + "s");
+    autoscale_tick();
   }
 
   /// Elastic fleet tick: sample backlog/capacity, apply the watermark
   /// policy. Growth goes through the spawn callback; retirement picks idle
-  /// (inflight-empty) ready workers and shuts them down gracefully — never
-  /// counted as lost, never taking work down with them.
+  /// leased workers and shuts them down gracefully — never counted as lost,
+  /// never taking work down with them.
   void autoscale_tick() {
-    if (!dcfg.autoscale.enabled()) return;
-    if (stopping || drain_requested.load(std::memory_order_relaxed)) return;
+    spawned_not_joined -=
+        std::min(spawned_not_joined, counters_.workers_joined - joined_seen);
+    joined_seen = counters_.workers_joined;
+    if (!dcfg.autoscale.enabled() || lane.stopping || !dispatching()) return;
 
     std::size_t capacity = 0;
     unsigned active = 0;
-    for (const auto& w : workers) {
-      if (!w->ready || w->retiring) continue;
+    for (const auto& p : peers_) {
+      if (p->lease == 0 || p->retiring) continue;
       ++active;
-      capacity += w->slots;
+      capacity += p->slots;
     }
-    const std::size_t backlog = pending.size() + total_inflight();
-    const auto d = scaler.tick(mono_seconds(), backlog, capacity,
-                               active + spawned_not_joined);
-
+    const auto d = scaler.tick(mono_seconds(), lane.pending.size() + inflight_on(lane.id),
+                               capacity, active + spawned_not_joined);
     if (d.spawn != 0 && spawn_cb) {
       spawn_cb(d.spawn);
       spawned_not_joined += d.spawn;
       stats.workers_spawned += d.spawn;
     }
-    if (d.retire != 0) {
-      const auto frame = frame_for(wire::MsgType::Shutdown, {});
-      unsigned remaining = d.retire;
-      for (const auto& w : workers) {
-        if (remaining == 0) break;
-        if (!w->ready || w->retiring || !w->inflight.empty()) continue;
-        try {
-          w->conn.send_all(frame, /*timeout_s=*/2.0);
-        } catch (const std::exception&) {
-          continue;  // dying anyway; the liveness path reaps it
-        }
-        w->retiring = true;
-        ++stats.workers_retired;
-        --remaining;
-      }
-    }
-  }
-
-  void broadcast_shutdown() {
-    const auto frame = frame_for(wire::MsgType::Shutdown, {});
-    for (const auto& w : workers) {
-      try {
-        w->conn.send_all(frame, /*timeout_s=*/2.0);
-      } catch (const std::exception&) {
-        // Exiting anyway.
-      }
+    unsigned retire = d.retire;
+    for (const auto& p : peers_) {
+      if (retire == 0) break;
+      if (p->lease == 0 || p->retiring || !p->inflight.empty()) continue;
+      retire_worker(*p);
+      ++stats.workers_retired;
+      --retire;
     }
   }
 
   DispatchReport run() {
     const double t0 = mono_seconds();
-    net::ScopedSigint sigint(&wake, dcfg.handle_sigint);
-    if (cfg.observer) cfg.observer->on_campaign_begin(faults.size());
-
-    const double first_worker_deadline = t0 + dcfg.first_worker_timeout_s;
-    while (completed < faults.size()) {
-      if (drain_requested.load(std::memory_order_relaxed) && total_inflight() == 0) {
-        stats.drained_early = true;
-        break;
-      }
-
-      std::vector<pollfd> fds;
-      fds.push_back({listener.fd(), POLLIN, 0});
-      fds.push_back({wake.read_fd(), POLLIN, 0});
-      if (unix_listener.valid()) fds.push_back({unix_listener.fd(), POLLIN, 0});
-      const std::size_t base = fds.size();
-      for (const auto& w : workers) fds.push_back({w->conn.fd(), POLLIN, 0});
-      ::poll(fds.data(), nfds_t(fds.size()), int(dcfg.poll_interval_s * 1000.0) + 1);
-
-      if (fds[1].revents & POLLIN) {
-        wake.drain();
-        drain_requested.store(true, std::memory_order_relaxed);
-      }
-
-      const auto adopt = [&](std::optional<net::TcpConn> conn) {
-        auto w = std::make_unique<WorkerConn>(std::move(*conn),
-                                              dcfg.max_worker_frame, mono_seconds());
-        w->id = next_worker_id++;
-        workers.push_back(std::move(w));
-      };
-      if (fds[0].revents & POLLIN)
-        while (auto conn = listener.accept()) adopt(std::move(conn));
-      if (unix_listener.valid() && (fds[2].revents & POLLIN))
-        while (auto conn = unix_listener.accept()) adopt(std::move(conn));
-
-      // fds[i + base] belongs to workers[i] as the loop entered poll()
-      // (newly accepted connections only append); service back-to-front so
-      // drop_worker()'s erase cannot shift unvisited entries.
-      const std::size_t polled = fds.size() - base;
-      for (std::size_t i = polled; i-- > 0;) {
-        if ((fds[i + base].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-        if (!service_readable(*workers[i], /*count_protocol_damage=*/true))
-          drop_worker(i, /*lost=*/true);
-      }
-
-      reap_silent_workers();
-      redispatch_slow();
-      autoscale_tick();
-      dispatch_all();
-
-      if (stats.workers_joined == 0 && mono_seconds() > first_worker_deadline)
-        throw std::runtime_error(
-            "campaign master: no worker joined within " +
-            std::to_string(dcfg.first_worker_timeout_s) + "s");
-    }
-
-    broadcast_shutdown();
-    listener.close();
-    unix_listener.close();
-
-    stats.done = done;
-    stats.completed = completed;
+    first_worker_deadline = t0 + dcfg.first_worker_timeout_s;
+    if (cfg.observer) cfg.observer->on_campaign_begin(lane.done.size());
+    serve();
+    static_cast<FleetCounters&>(stats) = counters_;
+    stats.completed = lane.completed;
+    stats.cancelled = lane.cancelled;
+    stats.drained_early = lane.completed < lane.done.size();
+    stats.done = std::move(lane.done);
     stats.wall_seconds = mono_seconds() - t0;
     stats.campaign.wall_seconds = stats.wall_seconds;
-    // Final aggregate summary: only for --stop-ci campaigns that completed
-    // in full (the stopped_early record was already emitted at the stop;
-    // a second summary over the nondeterministic straggler set would break
-    // byte-identity between replays).
-    if (dcfg.stop.enabled() && !stats.stopped_early && completed == faults.size()) {
-      stats.aggregate_summary = agg.summary_json("summary");
-      if (cfg.observer) cfg.observer->on_campaign_summary(stats.aggregate_summary);
-    }
     if (cfg.observer) cfg.observer->on_campaign_end(stats.campaign);
     return std::move(stats);
   }
@@ -501,13 +176,13 @@ Master::Master(const CalibratedApp& ca, const apps::AppScale& scale,
 
 Master::~Master() = default;
 
-std::uint16_t Master::port() const noexcept { return impl_->listener.port(); }
+std::uint16_t Master::port() const noexcept { return impl_->port(); }
 
 DispatchReport Master::run() { return impl_->run(); }
 
 void Master::request_drain() noexcept {
   impl_->drain_requested.store(true, std::memory_order_relaxed);
-  impl_->wake.notify();
+  impl_->wake();
 }
 
 void Master::set_spawn_callback(std::function<void(unsigned)> spawn) {
@@ -726,11 +401,8 @@ int run_worker(const WorkerConfig& wcfg) {
   for (;;) {
     net::TcpConn conn;
     try {
-      conn = wcfg.unix_path.empty()
-                 ? net::TcpConn::connect(wcfg.host, wcfg.port, wcfg.connect_attempts,
-                                         wcfg.connect_backoff_s)
-                 : net::TcpConn::connect_unix(wcfg.unix_path, wcfg.connect_attempts,
-                                              wcfg.connect_backoff_s);
+      conn = net::TcpConn::connect(wcfg.host, wcfg.port, wcfg.connect_attempts,
+                                   wcfg.connect_backoff_s);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "gemfi worker: %s\n", e.what());
       return 2;
@@ -750,11 +422,8 @@ int run_worker(const WorkerConfig& wcfg) {
 // Forked loopback workers (--now-local and the chaos tests)
 // ---------------------------------------------------------------------------
 
-namespace {
-
-void fork_workers(std::vector<int>& pids, unsigned workers, std::uint16_t port,
-                  const std::string& unix_path, unsigned slots,
-                  unsigned max_reconnects) {
+void LocalWorkerPool::grow(unsigned workers, std::uint16_t port, unsigned slots,
+                           unsigned max_reconnects) {
   std::fflush(stdout);
   std::fflush(stderr);
   for (unsigned i = 0; i < workers; ++i) {
@@ -764,40 +433,20 @@ void fork_workers(std::vector<int>& pids, unsigned workers, std::uint16_t port,
       WorkerConfig wcfg;
       wcfg.host = "127.0.0.1";
       wcfg.port = port;
-      wcfg.unix_path = unix_path;
       wcfg.slots = slots == 0 ? 1 : slots;
       wcfg.max_reconnects = max_reconnects;
       // _exit: never unwind into the parent's atexit/gtest machinery.
       ::_exit(run_worker(wcfg));
     }
-    pids.push_back(int(pid));
+    pids_.push_back(int(pid));
   }
 }
-
-}  // namespace
 
 LocalWorkerPool LocalWorkerPool::spawn(unsigned workers, std::uint16_t port,
                                        unsigned slots, unsigned max_reconnects) {
   LocalWorkerPool pool;
-  fork_workers(pool.pids_, workers, port, {}, slots, max_reconnects);
+  pool.grow(workers, port, slots, max_reconnects);
   return pool;
-}
-
-LocalWorkerPool LocalWorkerPool::spawn_unix(unsigned workers, const std::string& path,
-                                            unsigned slots, unsigned max_reconnects) {
-  LocalWorkerPool pool;
-  fork_workers(pool.pids_, workers, 0, path, slots, max_reconnects);
-  return pool;
-}
-
-void LocalWorkerPool::grow(unsigned workers, std::uint16_t port, unsigned slots,
-                           unsigned max_reconnects) {
-  fork_workers(pids_, workers, port, {}, slots, max_reconnects);
-}
-
-void LocalWorkerPool::grow_unix(unsigned workers, const std::string& path,
-                                unsigned slots, unsigned max_reconnects) {
-  fork_workers(pids_, workers, 0, path, slots, max_reconnects);
 }
 
 void LocalWorkerPool::kill_worker(std::size_t i, int signo) const {
@@ -823,23 +472,17 @@ DispatchReport run_campaign_service_local(const CalibratedApp& ca,
                                           unsigned slots, DispatchConfig dcfg) {
   dcfg.bind_address = "127.0.0.1";
   Master master(ca, scale, faults, cfg, dcfg);
-  const bool over_unix = !dcfg.unix_path.empty();
   unsigned initial = workers == 0 ? 1 : workers;
   if (dcfg.autoscale.enabled())
     initial = std::max(1u, std::min(initial, dcfg.autoscale.max_workers));
-  LocalWorkerPool pool =
-      over_unix ? LocalWorkerPool::spawn_unix(initial, dcfg.unix_path, slots)
-                : LocalWorkerPool::spawn(initial, master.port(), slots);
+  LocalWorkerPool pool = LocalWorkerPool::spawn(initial, master.port(), slots);
   if (dcfg.autoscale.enabled()) {
     // Elastic growth: the master's autoscaler forks additional loopback
     // workers into the same pool. Called from the run() loop thread; the
     // pool is only ever touched from that thread until wait_all below.
     const std::uint16_t port = master.port();
-    const std::string unix_path = dcfg.unix_path;
-    master.set_spawn_callback([&pool, port, unix_path, slots](unsigned n) {
-      if (unix_path.empty()) pool.grow(n, port, slots);
-      else pool.grow_unix(n, unix_path, slots);
-    });
+    master.set_spawn_callback(
+        [&pool, port, slots](unsigned n) { pool.grow(n, port, slots); });
   }
   try {
     DispatchReport report = master.run();

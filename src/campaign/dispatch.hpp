@@ -1,7 +1,9 @@
 // True multi-process NoW campaign dispatch (paper Sec. III-E, done for real).
 //
-// NowRunner models the paper's 27x4 cluster with in-process threads; this
-// layer actually distributes a campaign across process/host boundaries:
+// The master is the fleet engine (fleet.hpp) serving exactly one
+// pre-calibrated, unjournaled campaign to worker processes on any host;
+// now_makespan (now_runner.hpp) models the paper's 27x4 cluster from measured
+// durations instead of running it:
 //
 //   master                                 worker (xN processes/hosts)
 //   ------                                 ------
@@ -15,15 +17,14 @@
 //                                    <---  Heartbeat (liveness)
 //   Shutdown                         --->  join slots, exit
 //
-// Robustness is first-class: the master detects dead workers (EOF, send
-// failure, heartbeat silence) and slow workers (optional per-experiment
-// redispatch age), requeues or re-dispatches their in-flight experiments,
-// and deduplicates results by experiment id so every experiment completes
-// exactly once — first result wins, replays are counted and dropped. Fault
-// identity is preserved verbatim over the wire (Fault::to_line round-trip),
-// so the deterministic splitmix64 seeding and `--replay` work unchanged.
-// SIGINT (opt-in) drains gracefully: stop dispatching, collect in-flight
-// results, then shut workers down and report the partial campaign.
+// Robustness is first-class: dead workers (EOF, send failure, heartbeat
+// silence) have their in-flight experiments requeued, and results are
+// deduplicated by experiment id so every experiment completes exactly once —
+// first result wins, replays are counted and dropped. Fault identity is
+// preserved verbatim over the wire (Fault::to_line round-trip), so the
+// deterministic splitmix64 seeding and `--replay` work unchanged. SIGINT
+// (opt-in) drains gracefully: stop dispatching, collect in-flight results,
+// then shut workers down and report the partial campaign.
 //
 // Results stream into the existing CampaignObserver pipeline
 // (JsonlSink/ProgressPrinter) from the master's single event-loop thread as
@@ -32,10 +33,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "campaign/analytics/aggregator.hpp"
+#include "campaign/fleet.hpp"
 #include "campaign/runner.hpp"
 
 namespace gemfi::campaign {
@@ -85,46 +88,11 @@ class Autoscaler {
   double last_action_ = -1e300;
 };
 
-/// Master-side service tuning.
-struct DispatchConfig {
-  std::string bind_address = "127.0.0.1";  // 0.0.0.0 to serve a real cluster
-  std::uint16_t port = 0;                  // 0 = ephemeral (see Master::port())
-
-  /// A worker that completes no frame for this long is declared dead and its
-  /// in-flight experiments requeued. Raw bytes do NOT count as liveness: a
-  /// peer drip-feeding bytes without ever finishing a frame is reaped too
-  /// (see frame_grace_s).
-  double worker_timeout_s = 15.0;
-
-  /// Extra budget for a partial frame in flight: once a peer is idle past
-  /// worker_timeout_s (no complete frame), a half-received frame keeps it
-  /// alive for at most this long from the moment the frame started arriving.
-  /// Protects a slow worker mid-large-frame without opening the trickle hole.
-  double frame_grace_s = 10.0;
-
-  /// Heartbeat period workers are asked to keep (shipped implicitly: workers
-  /// default to a fraction of worker_timeout_s on their side).
-  double poll_interval_s = 0.05;  // master event-loop tick
-
-  /// > 0: an experiment in flight on one worker for longer than this is
-  /// additionally dispatched to another worker with spare capacity (at most
-  /// once per experiment); whichever result arrives first wins. 0 = off.
-  double slow_redispatch_s = 0.0;
-
+/// Master settings on top of the shared fleet tuning. With handle_sigint,
+/// SIGINT drains the campaign gracefully.
+struct DispatchConfig : FleetConfig {
   /// Give up if no worker has ever joined within this window.
   double first_worker_timeout_s = 60.0;
-
-  /// In-flight experiments per worker = slots * pipeline_depth (keeps slots
-  /// busy while batches are in transit).
-  unsigned pipeline_depth = 2;
-
-  /// Largest frame accepted *from* a worker (results are small; a peer
-  /// announcing a huge payload is dropped before any allocation).
-  std::size_t max_worker_frame = 1 << 20;
-
-  /// Install a SIGINT handler for the duration of run() that triggers the
-  /// graceful drain (CLIs set this; library callers usually do not).
-  bool handle_sigint = false;
 
   /// Sequential early-stop rule (--stop-ci). When enabled, every result
   /// feeds a streaming Aggregator; once the index-ordered prefix satisfies
@@ -133,43 +101,30 @@ struct DispatchConfig {
   /// `stopped_early` summary record through the observer.
   StopPolicy stop;
 
-  /// Non-empty: additionally listen on this AF_UNIX stream socket, so
-  /// same-host workers can skip the loopback TCP stack. The TCP listener
-  /// stays up regardless ('gfnw' framing is transport-agnostic).
-  std::string unix_path;
-
   /// Elastic fleet policy; requires a spawn callback (see
   /// Master::set_spawn_callback) for the growth half.
   AutoscaleConfig autoscale;
 };
 
-/// What the service adds on top of the merged CampaignReport.
+/// What the master adds on top of the merged CampaignReport and the fleet
+/// counters.
 ///
 /// Results are streamed to cfg.observer as they arrive and are NOT retained:
 /// campaign.results stays empty so a million-experiment campaign holds only
-/// the done/redispatch bitmaps in master memory. campaign.counts and the
-/// aggregate timings below are accumulated incrementally instead.
-struct DispatchReport {
+/// the done bitmap in master memory. campaign.counts and the aggregate
+/// timings below are accumulated incrementally instead.
+struct DispatchReport : FleetCounters {
   CampaignReport campaign;          // counts/wall only; results intentionally empty
   std::vector<std::uint8_t> done;   // per-experiment completion mask
   std::size_t completed = 0;
   double experiment_wall_seconds = 0.0;  // sum of per-result wall_seconds
-
-  unsigned workers_joined = 0;      // registrations (a reconnect counts again)
-  unsigned workers_lost = 0;        // EOF / timeout / protocol damage
-  std::uint64_t requeued = 0;       // in-flight experiments taken off dead workers
-  std::uint64_t redispatched = 0;   // slow-worker duplicate dispatches
-  std::uint64_t duplicate_results = 0;  // dropped by exactly-once dedup
-  std::uint64_t frames_rejected = 0;    // protocol-damaged peers dropped
-  std::uint64_t peers_timed_out = 0;    // reaped by the liveness deadline
-  std::uint64_t checkpoint_bytes_shipped = 0;  // Welcome payload total
   bool drained_early = false;       // drain (SIGINT or early stop): done[] partial
   double wall_seconds = 0.0;
 
-  // Sequential early stop (v5).
+  // Sequential early stop.
   bool stopped_early = false;       // the stop rule fired
   std::uint64_t stop_index = 0;     // prefix length that satisfied the rule
-  std::uint64_t cancelled = 0;      // queued experiments reclaimed unrun
+  std::uint64_t cancelled = 0;      // experiments reclaimed unrun
   std::string aggregate_summary;    // last summary JSON emitted ("" if none)
 
   // Elastic fleet.
@@ -218,9 +173,6 @@ class Master {
 struct WorkerConfig {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
-  /// Non-empty: connect to the master's AF_UNIX socket at this path instead
-  /// of host:port (same-host workers; see DispatchConfig::unix_path).
-  std::string unix_path;
   unsigned slots = 1;  // parallel experiments in this worker process
 
   double heartbeat_interval_s = 1.0;
@@ -254,15 +206,9 @@ class LocalWorkerPool {
   static LocalWorkerPool spawn(unsigned workers, std::uint16_t port, unsigned slots,
                                unsigned max_reconnects = 3);
 
-  /// Same, but the children connect over the master's AF_UNIX socket.
-  static LocalWorkerPool spawn_unix(unsigned workers, const std::string& path,
-                                    unsigned slots, unsigned max_reconnects = 3);
-
   /// Fork more workers into an existing pool (the autoscaler's growth hook).
   void grow(unsigned workers, std::uint16_t port, unsigned slots,
             unsigned max_reconnects = 3);
-  void grow_unix(unsigned workers, const std::string& path, unsigned slots,
-                 unsigned max_reconnects = 3);
 
   LocalWorkerPool() = default;
   LocalWorkerPool(LocalWorkerPool&&) = default;

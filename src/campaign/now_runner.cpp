@@ -1,151 +1,27 @@
 #include "campaign/now_runner.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <memory>
-#include <mutex>
+#include <functional>
 #include <queue>
-#include <thread>
-
-#include "campaign/observer.hpp"
 
 namespace gemfi::campaign {
 
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-/// The "network share": fault configs in, results out (steps 1, 4, 5).
-class NetworkShare {
- public:
-  explicit NetworkShare(std::size_t n) : results_(n) {}
-
-  /// Step 4: a workstation selects one of the remaining experiments.
-  std::optional<std::size_t> pull() {
-    std::lock_guard lock(mutex_);
-    if (next_ >= results_.size()) return std::nullopt;
-    return next_++;
-  }
-
-  /// Step 5: results move back to the share.
-  void push(std::size_t index, ExperimentResult result) {
-    std::lock_guard lock(mutex_);
-    results_[index] = std::move(result);
-  }
-
-  std::vector<ExperimentResult> take_results() { return std::move(results_); }
-
- private:
-  std::mutex mutex_;
-  std::size_t next_ = 0;
-  std::vector<ExperimentResult> results_;
-};
-
-}  // namespace
-
-NowReport run_campaign_now(const CalibratedApp& ca, const std::vector<fi::Fault>& faults,
-                           const CampaignConfig& cfg, const NowConfig& now) {
-  NowReport report;
-  const auto t0 = Clock::now();
-
-  NetworkShare share(faults.size());
-  CampaignObserver* const obs = cfg.observer;
-  if (obs) obs->on_campaign_begin(faults.size());
-
-  const unsigned total_slots = now.workstations * now.slots_per_workstation;
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const unsigned cap = now.max_real_threads == 0 ? hw : now.max_real_threads;
-  const unsigned real_threads = std::min(total_slots, cap);
-  report.real_threads_used = real_threads;
-
-  // Step 3: each workstation gets a local copy of the checkpoint. We copy
-  // the blob per *workstation identity* so the data movement is real. The
-  // once-flags are per-campaign state: a function-local static mutex here
-  // would be shared across every concurrent run_campaign_now() in the
-  // process, serializing unrelated campaigns' checkpoint copies on one lock.
-  const unsigned ws_count = std::min(now.workstations, real_threads);
-  std::vector<std::vector<std::uint8_t>> local_copies(ws_count);
-  const std::unique_ptr<std::once_flag[]> copy_once(new std::once_flag[ws_count]);
-
-  // Shared-baseline fast path (same as run_campaign): parse the image once,
-  // each slot keeps a persistent Simulation and restores by dirty-page copy.
-  // As in run_campaign, a damaged checkpoint falls back to the
-  // per-experiment path rather than tearing down the campaign.
-  std::optional<chkpt::CheckpointImage> baseline;
-  if (cfg.use_checkpoint && cfg.shared_baseline && !ca.checkpoint.empty()) {
-    try {
-      baseline.emplace(chkpt::CheckpointImage::parse(ca.checkpoint));
-    } catch (const std::exception&) {
-      baseline.reset();
-    }
-  }
-
-  std::atomic<unsigned> slot_id{0};
-  const auto slot_worker = [&] {
-    const unsigned id = slot_id.fetch_add(1, std::memory_order_relaxed);
-    const unsigned ws = id % ws_count;
-    // First slot of a workstation performs the local checkpoint copy.
-    std::call_once(copy_once[ws], [&] { local_copies[ws] = ca.checkpoint.bytes(); });
-    std::optional<ExperimentWorker> ew;
-    if (baseline) ew.emplace(ca, *baseline, cfg);
-    for (;;) {
-      const auto index = share.pull();
-      if (!index) return;
-      const std::vector<fi::SyscallFaultPlan> plans = plans_for_experiment(cfg, *index);
-      ExperimentResult er = ew ? ew->run_with_retry(faults[*index], &plans)
-                               : run_experiment_with_retry(ca, faults[*index], cfg, &plans);
-      if (obs)
-        obs->on_experiment(
-            {*index, id, experiment_seed(cfg.campaign_seed, *index), er});
-      share.push(*index, std::move(er));
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(real_threads);
-  for (unsigned i = 0; i < real_threads; ++i) pool.emplace_back(slot_worker);
-  for (auto& t : pool) t.join();
-
-  report.campaign.results = share.take_results();
-  for (const ExperimentResult& er : report.campaign.results) {
-    ++report.campaign.counts[std::size_t(er.classification.outcome)];
-    ++report.campaign.syscall_counts[std::size_t(er.syscall_class.outcome)];
-    if (er.syscall_class.cascade_len > report.campaign.max_cascade)
-      report.campaign.max_cascade = er.syscall_class.cascade_len;
-  }
-  report.measured_wall_seconds =
-      std::chrono::duration<double>(Clock::now() - t0).count();
-  report.campaign.wall_seconds = report.measured_wall_seconds;
-  if (obs) obs->on_campaign_end(report.campaign);
-
-  // Modeled makespan on the full W x S cluster: greedy longest-first list
-  // scheduling of the measured experiment durations, plus the (parallel)
-  // checkpoint copy to every workstation.
-  std::vector<double> durations;
-  durations.reserve(report.campaign.results.size());
-  for (const ExperimentResult& er : report.campaign.results)
-    durations.push_back(er.wall_seconds);
+double now_makespan(std::vector<double> durations, unsigned workstations, unsigned slots,
+                    std::size_t checkpoint_bytes, double copy_s_per_mib) {
+  // Greedy longest-first: each experiment goes to the slot that frees first.
   std::sort(durations.rbegin(), durations.rend());
-  std::priority_queue<double, std::vector<double>, std::greater<>> slots;
-  for (unsigned i = 0; i < total_slots; ++i) slots.push(0.0);
-  for (const double d : durations) {
-    const double earliest = slots.top();
-    slots.pop();
-    slots.push(earliest + d);
-  }
+  std::priority_queue<double, std::vector<double>, std::greater<>> free_at;
+  for (unsigned i = 0; i < std::max(1u, workstations * slots); ++i) free_at.push(0.0);
   double makespan = 0.0;
-  while (!slots.empty()) {
-    makespan = slots.top();
-    slots.pop();
+  for (const double d : durations) {
+    const double end = free_at.top() + d;
+    free_at.pop();
+    free_at.push(end);
+    makespan = std::max(makespan, end);
   }
-  // The blob *is* the on-the-wire image (v2 stores memory sparse and
-  // RLE-compressed), so the modeled copy is charged the encoded size — the
-  // bytes a workstation would actually pull off the share.
-  const double copy_time =
-      double(ca.checkpoint.size_bytes()) / (1024.0 * 1024.0) * now.copy_seconds_per_mib;
-  report.modeled_makespan_seconds = makespan + copy_time;
-  return report;
+  // The checkpoint blob is the on-the-wire image (sparse, RLE-compressed),
+  // so the copy is charged the encoded size a workstation pulls.
+  return makespan + double(checkpoint_bytes) / (1024.0 * 1024.0) * copy_s_per_mib;
 }
 
 }  // namespace gemfi::campaign

@@ -1,45 +1,25 @@
-// Network-of-Workstations campaign execution (paper Sec. III-E / Fig. 8).
+// Modeled Network-of-Workstations makespan (paper Sec. III-E / Fig. 8).
 //
 // The paper distributes a checkpointed campaign over 27 quad-core
 // workstations sharing an NFS volume: each workstation copies the checkpoint
-// locally, then its 4 slots repeatedly pull un-run experiments from the
-// share and push results back. NowRunner reproduces exactly that protocol
-// with an in-process "network share" (mutex-protected work queue + result
-// store) and one thread per (workstation, slot).
-//
-// A single host cannot physically provide 27x4 cores, so the runner reports
-// two numbers:
-//   * measured wall time, with the slot threads actually running (capped by
-//     host parallelism), and
-//   * the modeled NoW makespan: greedy list-scheduling of the measured
-//     per-experiment durations onto workstations*slots slots plus the
-//     checkpoint copy time — what the same campaign would take on the
-//     paper's cluster.
+// locally, then its 4 slots repeatedly pull un-run experiments and push
+// results back. campaign/dispatch.hpp runs that protocol for real (a TCP
+// master plus worker processes). One host cannot provide 27x4 cores, so
+// Fig. 8's cluster column is modeled instead: greedy longest-first list
+// scheduling of measured per-experiment durations onto the cluster's slots,
+// plus the checkpoint copy to every workstation.
 #pragma once
 
-#include "campaign/runner.hpp"
+#include <cstddef>
+#include <vector>
 
 namespace gemfi::campaign {
 
-struct NowConfig {
-  unsigned workstations = 27;
-  unsigned slots_per_workstation = 4;  // simultaneous experiments per host
-  /// Cap on real threads (0 = hardware_concurrency). The protocol still
-  /// enumerates all workstation/slot identities.
-  unsigned max_real_threads = 0;
-  /// Modeled time to copy the checkpoint to a workstation's local disk
-  /// (step 3 of the protocol), in seconds per MiB.
-  double copy_seconds_per_mib = 0.05;
-};
-
-struct NowReport {
-  CampaignReport campaign;       // merged results (same format as local runs)
-  double measured_wall_seconds = 0.0;
-  double modeled_makespan_seconds = 0.0;  // on the full W x S cluster
-  unsigned real_threads_used = 0;
-};
-
-NowReport run_campaign_now(const CalibratedApp& ca, const std::vector<fi::Fault>& faults,
-                           const CampaignConfig& cfg, const NowConfig& now);
+/// Makespan of `durations` (seconds each, e.g. the wall_seconds run_campaign
+/// records) on `workstations` x `slots` slots, plus the time to copy a
+/// `checkpoint_bytes` image to the workstations (in parallel) at
+/// `copy_s_per_mib` seconds per MiB.
+double now_makespan(std::vector<double> durations, unsigned workstations, unsigned slots,
+                    std::size_t checkpoint_bytes, double copy_s_per_mib);
 
 }  // namespace gemfi::campaign

@@ -6,14 +6,7 @@
 
 namespace gemfi::campaign::service {
 
-namespace {
-
-std::vector<std::uint8_t> frame_for(wire::MsgType type,
-                                    std::span<const std::uint8_t> payload) {
-  return net::encode_frame(std::uint8_t(type), payload);
-}
-
-}  // namespace
+using wire::frame_for;
 
 Client Client::connect(const std::string& host, std::uint16_t port,
                        unsigned attempts, double backoff_s) {

@@ -1,4 +1,4 @@
-// Blocking client for the campaign service's v2 control plane — the library
+// Blocking client for the campaign service's control plane — the library
 // behind gemfi_submit and the service tests. One Client wraps one TCP
 // connection; requests are strictly serial (send, wait for the matching
 // reply), which is all the CLI and tests need.

@@ -43,9 +43,9 @@ std::vector<std::uint8_t> encode_submit(const CampaignSpec& spec) {
   w.put_f64(spec.retry_backoff);
   w.put_bool(spec.predecode);
   w.put_bool(spec.fastpath);
-  w.put_bool(spec.fastmode);  // v4
-  w.put_f64(spec.stop_eps);   // v5
-  w.put_f64(spec.stop_conf);  // v5
+  w.put_bool(spec.fastmode);
+  w.put_f64(spec.stop_eps);
+  w.put_f64(spec.stop_conf);
   return w.take();
 }
 
@@ -68,9 +68,9 @@ CampaignSpec decode_submit(std::span<const std::uint8_t> payload) {
   s.retry_backoff = r.get_f64();
   s.predecode = r.get_bool();
   s.fastpath = r.get_bool();
-  s.fastmode = r.get_bool();  // v4
-  s.stop_eps = r.get_f64();   // v5
-  s.stop_conf = r.get_f64();  // v5
+  s.fastmode = r.get_bool();
+  s.stop_eps = r.get_f64();
+  s.stop_conf = r.get_f64();
   expect_end(r, "SubmitCampaign");
   s.validate();  // std::invalid_argument on an unusable spec
   return s;

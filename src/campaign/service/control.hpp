@@ -1,4 +1,4 @@
-// Wire codecs for the v2 client <-> campaign-service control plane.
+// Wire codecs for the client <-> campaign-service control plane.
 //
 // Same conventions as campaign/wire.hpp: payloads are util/bytesio streams
 // carried in net::Frame envelopes, every decoder validates lengths and enum

@@ -35,6 +35,15 @@ bool repair_tail(const fs::path& path) {
   return true;
 }
 
+/// Append one line and flush it. A short write or a failed flush (ENOSPC,
+/// EIO) throws naming the file, so the caller never acknowledges a line that
+/// is not in it.
+void append_line(std::FILE* f, const std::string& line, const std::string& path) {
+  if (std::fwrite(line.data(), 1, line.size(), f) != line.size() ||
+      std::fputc('\n', f) == EOF || std::fflush(f) != 0)
+    throw std::runtime_error("journal: cannot write " + path);
+}
+
 std::vector<std::string> read_lines(const fs::path& path) {
   std::vector<std::string> lines;
   std::ifstream in(path, std::ios::binary);
@@ -124,9 +133,7 @@ Journal::~Journal() {
 }
 
 void Journal::append_event_line(const std::string& line) {
-  std::fwrite(line.data(), 1, line.size(), events_);
-  std::fputc('\n', events_);
-  std::fflush(events_);
+  append_line(events_, line, (fs::path(root_) / "campaigns.jsonl").string());
 }
 
 void Journal::record_submit(std::uint64_t id, const CampaignSpec& spec) {
@@ -173,9 +180,7 @@ void Journal::append_result(std::uint64_t id, const std::string& json_line) {
       throw std::runtime_error("journal: cannot append results for campaign " +
                                std::to_string(id));
   }
-  std::fwrite(json_line.data(), 1, json_line.size(), results_cache_);
-  std::fputc('\n', results_cache_);
-  std::fflush(results_cache_);
+  append_line(results_cache_, json_line, results_path(id));
 }
 
 std::vector<std::string> Journal::read_result_lines(std::uint64_t id) const {

@@ -1,8 +1,5 @@
 #include "campaign/service/service.hpp"
 
-#include <poll.h>
-
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <deque>
@@ -10,17 +7,12 @@
 #include <mutex>
 #include <optional>
 #include <thread>
-#include <unordered_map>
 
-#include "campaign/analytics/aggregator.hpp"
 #include "campaign/observer.hpp"
 #include "campaign/service/control.hpp"
 #include "campaign/service/journal.hpp"
 #include "campaign/service/scheduler.hpp"
 #include "campaign/wire.hpp"
-#include "net/frame.hpp"
-#include "net/sigint.hpp"
-#include "net/socket.hpp"
 #include "util/bytesio.hpp"
 
 namespace gemfi::campaign::service {
@@ -28,11 +20,7 @@ namespace gemfi::campaign::service {
 namespace {
 
 using net::mono_seconds;
-
-std::vector<std::uint8_t> frame_for(wire::MsgType type,
-                                    std::span<const std::uint8_t> payload) {
-  return net::encode_frame(std::uint8_t(type), payload);
-}
+using wire::frame_for;
 
 /// Reverse of experiment_record_to_json's outcome field (counts recovery).
 std::optional<apps::Outcome> outcome_from_name(const std::string& name) {
@@ -43,12 +31,12 @@ std::optional<apps::Outcome> outcome_from_name(const std::string& name) {
 
 }  // namespace
 
-struct CampaignService::Impl {
+/// The fleet engine plus what only the daemon has: a journaled multi-tenant
+/// campaign table, background calibration, fair-share leasing and
+/// rebalancing, and the client control plane.
+struct CampaignService::Impl final : Fleet {
   ServiceConfig scfg;
   Journal journal;
-  net::TcpListener listener;
-  net::SelfPipe stop_wake;   // SIGINT / request_stop
-  net::SelfPipe calib_wake;  // calibration-thread completions
   std::atomic<bool> stop_requested{false};
 
   // -------------------------------------------------------------------------
@@ -63,65 +51,17 @@ struct CampaignService::Impl {
     double submitted_at = 0.0;
     bool recovered = false;
     std::vector<std::uint64_t> recovered_done;  // journal high-water mark
-
-    // Populated by integrate_calibration (state >= Running).
-    CalibratedApp ca;
-    CampaignConfig cfg;
-    std::vector<fi::Fault> faults;
-    std::vector<std::uint8_t> welcome_frame;
-    std::size_t welcome_payload_bytes = 0;
-    std::deque<std::uint64_t> pending;  // not yet dispatched
-    std::vector<std::uint8_t> done;     // exactly-once bitmap
-    std::uint64_t completed = 0;
-    std::uint64_t dispatched = 0;  // shipped to workers (share metric)
     std::array<std::uint64_t, apps::kNumOutcomes> counts{};
-
-    // Sequential early-stop (spec.stop_eps > 0): the streaming aggregator
-    // evaluates the prefix rule on every result; `stopping` marks the drain
-    // window between the rule firing and the last in-flight result landing.
-    std::unique_ptr<Aggregator> agg;
-    bool stopping = false;
-
+    Lane lane;                          // opened once calibrated (Running)
     std::vector<unsigned> subscribers;  // peer ids streaming this campaign
   };
   std::map<std::uint64_t, Campaign> campaigns;
   std::uint64_t next_id = 1;
 
   // -------------------------------------------------------------------------
-  // Peers: one listener, two kinds. The first frame decides: Hello = a
-  // worker joining the fleet, any control-plane type = a client.
-  // -------------------------------------------------------------------------
-
-  enum class PeerKind : std::uint8_t { Unknown, Worker, Client };
-
-  struct Peer {
-    unsigned id = 0;
-    PeerKind kind = PeerKind::Unknown;
-    net::TcpConn conn;
-    net::FrameReader reader;
-    net::FrameLiveness liveness;
-    bool defunct = false;  // marked for removal at the next tick
-
-    // Worker state.
-    unsigned slots = 0;
-    std::uint64_t lease = 0;  // campaign id this connection serves; 0 = parked
-    std::unordered_map<std::uint64_t, double> inflight;  // index -> sent time
-
-    // Client state.
-    std::uint64_t stream = 0;  // campaign id subscribed to; 0 = none
-
-    Peer(net::TcpConn c, std::size_t max_frame, double now)
-        : conn(std::move(c)), reader(max_frame) {
-      liveness.reset(now);
-    }
-  };
-  std::vector<std::unique_ptr<Peer>> peers;
-  unsigned next_peer_id = 0;
-
-  // -------------------------------------------------------------------------
   // Calibration thread: calibrate() costs seconds of simulation per app, so
   // it runs off the poll loop. Jobs carry a copy of the spec; completions
-  // come back through `calib_done` + a self-pipe wake. The cache (identical
+  // come back through `calib_done` + wake(). The cache (identical
   // app/scale/config calibrate identically — the whole protocol depends on
   // that determinism) is touched only by the calibration thread.
   // -------------------------------------------------------------------------
@@ -136,12 +76,12 @@ struct CampaignService::Impl {
     CalibratedApp ca;
     std::string error;
   };
-  std::thread calib_thread;
   std::mutex calib_mutex;
   std::condition_variable calib_cv;
   bool calib_stop = false;
   std::deque<CalibJob> calib_queue;
   std::deque<CalibDone> calib_done;
+  std::thread calib_thread;
 
   ServiceReport stats;
   double started_at = 0.0;
@@ -150,21 +90,18 @@ struct CampaignService::Impl {
 
   // -------------------------------------------------------------------------
 
-  explicit Impl(ServiceConfig scfg_in)
-      : scfg(std::move(scfg_in)), journal(scfg.journal_dir) {
-    listener = net::TcpListener::bind_listen(scfg.bind_address, scfg.port);
+  explicit Impl(const ServiceConfig& scfg_in)
+      : Fleet(scfg_in), scfg(scfg_in), journal(scfg.journal_dir) {
     for (const RecoveredCampaign& rc : journal.recovered().live) {
-      Campaign c;
-      c.id = rc.id;
-      c.spec = rc.spec;
+      Campaign& c = add_campaign(rc.id, rc.spec);
       c.recovered = true;
       c.recovered_done = rc.done_indices;
-      c.submitted_at = mono_seconds();  // age restarts with the service
-      campaigns.emplace(c.id, std::move(c));
       ++stats.campaigns_recovered;
     }
     next_id = journal.recovered().next_campaign_id;
   }
+
+  ~Impl() override { stop_calibration(); }
 
   // --- calibration ---------------------------------------------------------
 
@@ -206,7 +143,7 @@ struct CampaignService::Impl {
         std::lock_guard lock(calib_mutex);
         calib_done.push_back(std::move(done));
       }
-      calib_wake.notify();
+      wake();
     }
   }
 
@@ -234,39 +171,18 @@ struct CampaignService::Impl {
         finish_campaign(c, CampaignState::Failed, d.error);
         continue;
       }
-      c.ca = std::move(d.ca);
-      c.cfg = c.spec.to_campaign_config();
+      const CampaignConfig cfg = c.spec.to_campaign_config();
       // Durable calibration cost record: a restarted service recalibrates, so
       // the journal keeps one "calibrated" line per completed calibration.
-      journal.record_calibrated(c.id, c.ca.calib_wall_seconds, c.cfg.fastmode);
-      const auto payload =
-          wire::encode_welcome(wire::Welcome::from(c.ca, c.spec.to_scale(), c.cfg));
-      c.welcome_payload_bytes = payload.size();
-      c.welcome_frame = frame_for(wire::MsgType::Welcome, payload);
-      c.faults = seeded_fault_set(c.spec.campaign_seed,
-                                  std::size_t(c.spec.experiments),
-                                  c.ca.kernel_fetches);
-      c.done.assign(c.faults.size(), 0);
-      if (c.spec.stop_eps > 0.0) {
-        // Recovered campaigns keep the aggregator too: journaled-done indices
-        // are never fed to it, so the contiguous-prefix rule simply cannot
-        // fire past them and the campaign conservatively runs to completion.
-        c.agg = std::make_unique<Aggregator>(
-            StopPolicy{c.spec.stop_eps, c.spec.stop_conf},
-            c.faults.size());
-      }
-      for (const std::uint64_t idx : c.recovered_done) {
-        if (idx >= c.done.size() || c.done[idx]) continue;
-        c.done[idx] = 1;
-        ++c.completed;
-      }
+      journal.record_calibrated(c.id, d.ca.calib_wall_seconds, cfg.fastmode);
+      c.lane.open(d.ca, c.spec.to_scale(), cfg,
+                  seeded_fault_set(c.spec.campaign_seed,
+                                   std::size_t(c.spec.experiments), d.ca.kernel_fetches),
+                  StopPolicy{c.spec.stop_eps, c.spec.stop_conf}, c.recovered_done);
       if (c.recovered) recover_counts(c);
       c.recovered_done.clear();
-      c.dispatched = c.completed;
-      for (std::uint64_t i = 0; i < c.done.size(); ++i)
-        if (!c.done[i]) c.pending.push_back(i);
       c.state = CampaignState::Running;
-      if (c.completed == c.done.size())
+      if (c.lane.completed == c.lane.done.size())
         finish_campaign(c, CampaignState::Done, "");
     }
   }
@@ -285,7 +201,25 @@ struct CampaignService::Impl {
     }
   }
 
+  void stop_calibration() {
+    if (!calib_thread.joinable()) return;
+    {
+      std::lock_guard lock(calib_mutex);
+      calib_stop = true;
+    }
+    calib_cv.notify_all();
+    calib_thread.join();
+  }
+
   // --- campaign lifecycle --------------------------------------------------
+
+  Campaign& add_campaign(std::uint64_t id, CampaignSpec spec) {
+    Campaign& c = campaigns[id];
+    c.id = c.lane.id = id;
+    c.spec = std::move(spec);
+    c.submitted_at = mono_seconds();  // a recovered campaign's age restarts
+    return c;
+  }
 
   void finish_campaign(Campaign& c, CampaignState state, const std::string& error) {
     c.state = state;
@@ -306,42 +240,12 @@ struct CampaignService::Impl {
         frame_for(wire::MsgType::StreamEnd, encode_stream_end(end));
     for (const unsigned peer_id : c.subscribers) {
       Peer* p = find_peer(peer_id);
-      if (p != nullptr && !p->defunct) {
-        send_to_client(*p, end_frame);
-        p->stream = 0;
-      }
+      if (p != nullptr && !p->defunct)
+        send_or_defunct(*p, end_frame, scfg.client_send_timeout_s);
     }
     c.subscribers.clear();
-    // Release the bulk memory; `done` stays (late results dedup against it
-    // conceptually, though terminal campaigns drop results outright).
-    c.pending.clear();
-    c.faults.clear();
-    c.faults.shrink_to_fit();
-    c.welcome_frame.clear();
-    c.welcome_frame.shrink_to_fit();
-    c.ca = CalibratedApp{};
-  }
-
-  [[nodiscard]] Peer* find_peer(unsigned id) {
-    for (const auto& p : peers)
-      if (p->id == id) return p.get();
-    return nullptr;
-  }
-
-  [[nodiscard]] std::uint32_t leased_workers(std::uint64_t campaign_id) const {
-    std::uint32_t n = 0;
-    for (const auto& p : peers)
-      if (p->kind == PeerKind::Worker && !p->defunct && p->lease == campaign_id)
-        ++n;
-    return n;
-  }
-
-  [[nodiscard]] std::uint64_t campaign_inflight(std::uint64_t campaign_id) const {
-    std::uint64_t n = 0;
-    for (const auto& p : peers)
-      if (p->kind == PeerKind::Worker && !p->defunct && p->lease == campaign_id)
-        n += p->inflight.size();
-    return n;
+    // Release the bulk memory; results still arriving for it are dropped.
+    c.lane.close();
   }
 
   [[nodiscard]] std::vector<SchedEntry> sched_snapshot() const {
@@ -352,8 +256,8 @@ struct CampaignService::Impl {
       e.tenant = c.spec.tenant;
       e.weight = c.spec.weight;
       e.max_workers = c.spec.max_workers;
-      e.pending = c.state == CampaignState::Running ? c.pending.size() : 0;
-      e.workers = leased_workers(id);
+      e.pending = c.lane.pending.size();  // empty unless running
+      e.workers = workers_on(id);
       if (e.pending > 0 || e.workers > 0) entries.push_back(std::move(e));
     }
     return entries;
@@ -367,37 +271,15 @@ struct CampaignService::Impl {
     s.app_name = c.spec.app_name;
     s.state = c.state;
     s.total = c.spec.experiments;
-    s.completed = c.completed;
-    s.inflight = campaign_inflight(c.id);
-    s.dispatched = c.dispatched;
-    s.workers = leased_workers(c.id);
+    s.completed = c.lane.completed;
+    s.inflight = inflight_on(c.id);
+    s.dispatched = c.lane.dispatched;
+    s.workers = workers_on(c.id);
     s.weight = c.spec.weight;
     s.counts = c.counts;
     s.error = c.error;
     s.age_seconds = now - c.submitted_at;
     return s;
-  }
-
-  // --- worker plane --------------------------------------------------------
-
-  void requeue_worker_inflight(Peer& w) {
-    const auto it = campaigns.find(w.lease);
-    if (it != campaigns.end() && !is_terminal(it->second.state)) {
-      Campaign& c = it->second;
-      // A stopping campaign wants fewer results, not replacements: dropping
-      // a dead worker's in-flight work just shortens the drain.
-      if (!c.stopping) {
-        for (const auto& [index, since] : w.inflight) {
-          (void)since;
-          if (index < c.done.size() && !c.done[index]) {
-            c.pending.push_front(index);
-            ++stats.requeued;
-          }
-        }
-      }
-    }
-    w.inflight.clear();
-    if (it != campaigns.end()) maybe_finish_stopped(it->second);
   }
 
   /// Journal a campaign-scoped JSON line and fan it out to streaming
@@ -414,165 +296,76 @@ struct CampaignService::Impl {
         frame_for(wire::MsgType::ResultLines, encode_result_lines(rl));
     for (const unsigned peer_id : c.subscribers) {
       Peer* p = find_peer(peer_id);
-      if (p != nullptr && !p->defunct) send_to_client(*p, rl_frame);
+      if (p != nullptr && !p->defunct)
+        send_or_defunct(*p, rl_frame, scfg.client_send_timeout_s);
     }
   }
 
-  void maybe_finish_stopped(Campaign& c) {
-    if (!c.stopping || is_terminal(c.state)) return;
-    if (campaign_inflight(c.id) == 0) finish_campaign(c, CampaignState::Done, "");
+  // --- fleet hooks ---------------------------------------------------------
+
+  bool serving() override { return !stop_requested.load(std::memory_order_relaxed); }
+
+  void on_sigint() override { stop_requested.store(true, std::memory_order_relaxed); }
+
+  Lane* find_lane(std::uint64_t id) override {
+    const auto it = campaigns.find(id);
+    return it == campaigns.end() ? nullptr : &it->second.lane;
   }
 
-  /// The sequential stop rule newly fired: freeze the queue, tell leased
-  /// workers to drop their queued batches (CancelQueue), and emit the
-  /// deterministic stopped_early summary. The campaign finishes Done once
-  /// its in-flight experiments drain (results still journal on arrival).
-  void stop_campaign_early(Campaign& c) {
-    c.stopping = true;
-    c.pending.clear();
-    ++stats.campaigns_stopped_early;
-    broadcast_line(c, c.agg->summary_json("stopped_early"));
-    const auto cancel = frame_for(wire::MsgType::CancelQueue, {});
-    for (const auto& p : peers) {
-      if (p->kind != PeerKind::Worker || p->defunct || p->lease != c.id)
-        continue;
-      try {
-        p->conn.send_all(cancel, /*timeout_s=*/2.0);
-      } catch (const std::exception&) {
-        p->defunct = true;
-      }
-    }
-    maybe_finish_stopped(c);
+  std::uint64_t pick_lane() override {
+    return pick_campaign_for_worker(sched_snapshot());
   }
 
-  void handle_result(Peer& w, const wire::ResultMsg& msg) {
-    const auto it = campaigns.find(w.lease);
-    if (it == campaigns.end())
-      throw net::ProtocolError("result from unleased worker");
-    Campaign& c = it->second;
-    w.inflight.erase(msg.index);
-    if (is_terminal(c.state)) return;  // cancelled while in flight: drop
-    if (msg.index >= c.done.size())
-      throw net::ProtocolError("result for unknown experiment " +
-                               std::to_string(msg.index));
-    if (c.done[msg.index]) {
-      // Exactly-once: a requeued copy already landed; first result wins.
-      ++stats.duplicate_results;
-      return;
-    }
-    c.done[msg.index] = 1;
-    ++c.completed;
-    ++c.counts[std::size_t(msg.result.classification.outcome)];
-
-    ExperimentRecord rec{std::size_t(msg.index), w.id,
-                         experiment_seed(c.spec.campaign_seed, msg.index),
-                         msg.result};
+  void on_record(Lane& lane, const ExperimentRecord& rec) override {
+    Campaign& c = campaigns.at(lane.id);
+    ++c.counts[std::size_t(rec.result.classification.outcome)];
     // Journal first (durable before any ack leaves), then stream.
     broadcast_line(c, experiment_record_to_json(rec));
     ++stats.results_journaled;
-
-    if (c.agg != nullptr && c.agg->add(rec)) {
-      stop_campaign_early(c);
-      return;
-    }
-    if (c.completed == c.done.size()) {
-      // Full-run summary only when the aggregator saw every experiment (a
-      // recovered campaign's aggregate is partial by construction).
-      if (c.agg != nullptr && !c.stopping && c.agg->n() == c.done.size())
-        broadcast_line(c, c.agg->summary_json("summary"));
-      finish_campaign(c, CampaignState::Done, "");
-      return;
-    }
-    maybe_finish_stopped(c);
   }
 
-  /// Lease parked workers to campaigns by tenant fair share, then top up
-  /// every leased worker's pipeline from its campaign's pending queue.
-  void assign_and_dispatch() {
+  void on_summary(Lane& lane, const std::string& json) override {
+    if (lane.stopping) ++stats.campaigns_stopped_early;
+    broadcast_line(campaigns.at(lane.id), json);
+  }
+
+  void on_lane_done(Lane& lane) override {
+    finish_campaign(campaigns.at(lane.id), CampaignState::Done, "");
+  }
+
+  void tick() override {
+    integrate_calibrations();
     const double now = mono_seconds();
-    for (const auto& p : peers) {
-      if (p->kind != PeerKind::Worker || p->defunct || p->lease != 0) continue;
-      const std::uint64_t id = pick_campaign_for_worker(sched_snapshot());
-      if (id == 0) break;  // nothing runnable; later workers see the same
-      Campaign& c = campaigns.at(id);
-      try {
-        p->conn.send_all(c.welcome_frame);
-      } catch (const std::exception&) {
-        p->defunct = true;
-        continue;
-      }
-      p->lease = id;
-      p->liveness.reset(now);
-    }
-
-    for (const auto& p : peers) {
-      if (p->kind != PeerKind::Worker || p->defunct || p->lease == 0) continue;
-      const auto it = campaigns.find(p->lease);
-      if (it == campaigns.end() || it->second.state != CampaignState::Running)
-        continue;
-      Campaign& c = it->second;
-      const std::size_t target = std::size_t(p->slots) * scfg.pipeline_depth;
-      std::vector<wire::BatchItem> items;
-      while (p->inflight.size() + items.size() < target && !c.pending.empty()) {
-        const std::uint64_t index = c.pending.front();
-        c.pending.pop_front();
-        if (c.done[index]) continue;
-        items.push_back({index, c.faults[index].to_line()});
-      }
-      if (items.empty()) continue;
-      try {
-        p->conn.send_all(frame_for(wire::MsgType::Batch, wire::encode_batch(items)));
-        for (const wire::BatchItem& item : items) {
-          p->inflight.emplace(item.index, now);
-          ++c.dispatched;
-        }
-      } catch (const std::exception&) {
-        // Items never entered inflight; put them back for someone else.
-        for (const wire::BatchItem& item : items) c.pending.push_front(item.index);
-        p->defunct = true;
-      }
-    }
+    rebalance(now);
+    print_status(now);
   }
 
-  /// Part one worker from `donor_id` so its reconnect comes back through
-  /// fair-share assignment (there is no in-band "switch campaigns" message —
-  /// the Welcome fixed this connection's app).
-  void part_one_worker(std::uint64_t donor_id) {
-    Peer* victim = nullptr;
-    for (const auto& p : peers) {
-      if (p->kind != PeerKind::Worker || p->defunct || p->lease != donor_id)
-        continue;
-      if (victim == nullptr || p->inflight.size() < victim->inflight.size())
-        victim = p.get();
-    }
-    if (victim == nullptr) return;
-    requeue_worker_inflight(*victim);
-    victim->conn.close();
-    victim->defunct = true;
-    ++stats.rebalance_moves;
-  }
-
+  /// A starved campaign with no parked worker to take: part the donor's
+  /// least-loaded worker. Its reconnect comes back through fair-share
+  /// assignment (the Welcome fixed the connection's app, so there is no
+  /// in-band "switch campaigns" message).
   void rebalance(double now) {
     if (now - last_rebalance < scfg.rebalance_interval_s) return;
     last_rebalance = now;
     // A parked worker about to be assigned covers any starvation already.
-    for (const auto& p : peers)
+    for (const auto& p : peers_)
       if (p->kind == PeerKind::Worker && !p->defunct && p->lease == 0) return;
     const auto entries = sched_snapshot();
     if (!has_starved_campaign(entries)) return;
     const std::uint64_t donor = pick_rebalance_donor(entries);
-    if (donor != 0) part_one_worker(donor);
+    if (donor == 0) return;
+    Peer* victim = nullptr;
+    for (const auto& p : peers_) {
+      if (p->defunct || p->lease != donor) continue;
+      if (victim == nullptr || p->inflight.size() < victim->inflight.size())
+        victim = p.get();
+    }
+    if (victim == nullptr) return;
+    part_worker(*victim);
+    ++stats.rebalance_moves;
   }
 
   // --- client plane --------------------------------------------------------
-
-  void send_to_client(Peer& p, std::span<const std::uint8_t> frame) {
-    try {
-      p.conn.send_all(frame, scfg.client_send_timeout_s);
-    } catch (const std::exception&) {
-      p.defunct = true;
-    }
-  }
 
   void handle_submit(Peer& p, std::span<const std::uint8_t> payload) {
     SubmitReply reply;
@@ -585,19 +378,16 @@ struct CampaignService::Impl {
       reply.error = e.what();  // well-formed but unusable spec: polite no
     }
     if (spec) {
-      Campaign c;
-      c.id = next_id++;
-      c.spec = std::move(*spec);
-      c.submitted_at = mono_seconds();
-      journal.record_submit(c.id, c.spec);  // durable before the ack
+      const std::uint64_t id = next_id++;
+      journal.record_submit(id, *spec);  // durable before the ack
+      add_campaign(id, std::move(*spec));
       reply.ok = true;
-      reply.id = c.id;
-      campaigns.emplace(c.id, std::move(c));
+      reply.id = id;
       ++stats.campaigns_submitted;
       queue_calibrations();
     }
-    send_to_client(p, frame_for(wire::MsgType::SubmitReply,
-                                encode_submit_reply(reply)));
+    send_or_defunct(p, frame_for(wire::MsgType::SubmitReply, encode_submit_reply(reply)),
+                    scfg.client_send_timeout_s);
   }
 
   void handle_status(Peer& p, std::span<const std::uint8_t> payload) {
@@ -609,8 +399,9 @@ struct CampaignService::Impl {
     } else if (const auto it = campaigns.find(req.id); it != campaigns.end()) {
       statuses.push_back(status_of(it->second, now));
     }
-    send_to_client(p, frame_for(wire::MsgType::StatusReply,
-                                encode_status_reply(statuses)));
+    send_or_defunct(p,
+                    frame_for(wire::MsgType::StatusReply, encode_status_reply(statuses)),
+                    scfg.client_send_timeout_s);
   }
 
   void handle_cancel(Peer& p, std::span<const std::uint8_t> payload) {
@@ -626,8 +417,8 @@ struct CampaignService::Impl {
       finish_campaign(it->second, CampaignState::Cancelled, "");
       reply.ok = true;
     }
-    send_to_client(p, frame_for(wire::MsgType::CancelReply,
-                                encode_cancel_reply(reply)));
+    send_or_defunct(p, frame_for(wire::MsgType::CancelReply, encode_cancel_reply(reply)),
+                    scfg.client_send_timeout_s);
   }
 
   void handle_stream(Peer& p, std::span<const std::uint8_t> payload) {
@@ -638,7 +429,8 @@ struct CampaignService::Impl {
       end.id = req.id;
       end.state = CampaignState::Failed;
       end.error = "unknown campaign " + std::to_string(req.id);
-      send_to_client(p, frame_for(wire::MsgType::StreamEnd, encode_stream_end(end)));
+      send_or_defunct(p, frame_for(wire::MsgType::StreamEnd, encode_stream_end(end)),
+                      scfg.client_send_timeout_s);
       return;
     }
     Campaign& c = it->second;
@@ -649,155 +441,47 @@ struct CampaignService::Impl {
     for (std::string& line : journal.read_result_lines(c.id)) {
       rl.lines.push_back(std::move(line));
       if (rl.lines.size() >= 256) {
-        send_to_client(p, frame_for(wire::MsgType::ResultLines,
-                                    encode_result_lines(rl)));
+        send_or_defunct(p, frame_for(wire::MsgType::ResultLines, encode_result_lines(rl)),
+                        scfg.client_send_timeout_s);
         rl.lines.clear();
         if (p.defunct) return;
       }
     }
     if (!rl.lines.empty())
-      send_to_client(p, frame_for(wire::MsgType::ResultLines,
-                                  encode_result_lines(rl)));
+      send_or_defunct(p, frame_for(wire::MsgType::ResultLines, encode_result_lines(rl)),
+                      scfg.client_send_timeout_s);
     if (p.defunct) return;
     if (is_terminal(c.state)) {
       StreamEnd end;
       end.id = c.id;
       end.state = c.state;
       end.error = c.error;
-      send_to_client(p, frame_for(wire::MsgType::StreamEnd, encode_stream_end(end)));
+      send_or_defunct(p, frame_for(wire::MsgType::StreamEnd, encode_stream_end(end)),
+                      scfg.client_send_timeout_s);
     } else {
-      p.stream = c.id;
       c.subscribers.push_back(p.id);
     }
   }
 
-  // --- frame demux ---------------------------------------------------------
+  /// A streaming client that goes away stops being a subscriber.
+  void on_peer_dropped(Peer& p) override {
+    if (p.kind != PeerKind::Client) return;
+    for (auto& [id, c] : campaigns) std::erase(c.subscribers, p.id);
+  }
 
-  void handle_frame(Peer& p, const net::Frame& f) {
-    const auto type = wire::MsgType(f.type);
-    if (p.kind == PeerKind::Unknown) {
-      // First frame decides the peer kind.
-      if (type == wire::MsgType::Hello) {
-        const wire::Hello hello = wire::decode_hello(f.payload);
-        p.kind = PeerKind::Worker;
-        p.slots = hello.slots;
-        ++stats.workers_joined;
-        return;  // no Welcome yet: leased on assignment
-      }
-      switch (type) {
-        case wire::MsgType::SubmitCampaign:
-        case wire::MsgType::StatusRequest:
-        case wire::MsgType::CancelCampaign:
-        case wire::MsgType::StreamResults:
-          p.kind = PeerKind::Client;
-          ++stats.clients_served;
-          break;
-        default:
-          throw net::ProtocolError("unexpected first message type " +
-                                   std::to_string(f.type));
-      }
-    }
-    if (p.kind == PeerKind::Worker) {
-      switch (type) {
-        case wire::MsgType::Result:
-          if (p.lease == 0) throw net::ProtocolError("Result before Welcome");
-          handle_result(p, wire::decode_result(f.payload));
-          return;
-        case wire::MsgType::Heartbeat:
-          wire::decode_heartbeat(f.payload);  // liveness is any valid frame
-          return;
-        case wire::MsgType::CancelAck: {
-          // Queued-but-never-run experiments the worker dropped on
-          // CancelQueue: no result will come, so clear them from in-flight
-          // accounting and re-check whether the stopping campaign drained.
-          const wire::CancelAck ack = wire::decode_cancel_ack(f.payload);
-          for (const std::uint64_t index : ack.dropped) p.inflight.erase(index);
-          if (const auto it = campaigns.find(p.lease); it != campaigns.end())
-            maybe_finish_stopped(it->second);
-          return;
-        }
-        default:
-          throw net::ProtocolError("unexpected worker message type " +
-                                   std::to_string(f.type));
-      }
-    }
-    switch (type) {
-      case wire::MsgType::SubmitCampaign: handle_submit(p, f.payload); return;
-      case wire::MsgType::StatusRequest: handle_status(p, f.payload); return;
-      case wire::MsgType::CancelCampaign: handle_cancel(p, f.payload); return;
-      case wire::MsgType::StreamResults: handle_stream(p, f.payload); return;
+  void on_client_frame(Peer& p, const net::Frame& f) override {
+    switch (wire::MsgType(f.type)) {
+      case wire::MsgType::SubmitCampaign: handle_submit(p, f.payload); break;
+      case wire::MsgType::StatusRequest: handle_status(p, f.payload); break;
+      case wire::MsgType::CancelCampaign: handle_cancel(p, f.payload); break;
+      case wire::MsgType::StreamResults: handle_stream(p, f.payload); break;
       default:
         throw net::ProtocolError("unexpected client message type " +
                                  std::to_string(f.type));
     }
-  }
-
-  /// Drain readable bytes and process complete frames. Returns false if the
-  /// peer must be dropped (EOF or damage).
-  bool service_readable(Peer& p) {
-    std::uint8_t buf[64 * 1024];
-    try {
-      for (;;) {
-        const auto got = p.conn.recv_some(buf);
-        if (!got) return false;  // EOF
-        if (*got == 0) break;    // drained
-        p.reader.feed(std::span<const std::uint8_t>(buf, *got));
-        bool frame_completed = false;
-        while (auto f = p.reader.next()) {
-          frame_completed = true;
-          handle_frame(p, *f);
-        }
-        p.liveness.on_read(mono_seconds(), frame_completed, p.reader.buffered());
-        if (p.defunct) return false;
-      }
-      return true;
-    } catch (const std::exception&) {
-      ++stats.frames_rejected;
-      return false;
-    }
-  }
-
-  void drop_peer(std::size_t i) {
-    Peer& p = *peers[i];
-    if (p.kind == PeerKind::Worker) {
-      ++stats.workers_lost;
-      requeue_worker_inflight(p);
-    }
-    if (p.stream != 0) {
-      const auto it = campaigns.find(p.stream);
-      if (it != campaigns.end()) {
-        auto& subs = it->second.subscribers;
-        subs.erase(std::remove(subs.begin(), subs.end(), p.id), subs.end());
-      }
-    }
-    peers.erase(peers.begin() + std::ptrdiff_t(i));
-  }
-
-  void remove_defunct_peers() {
-    for (std::size_t i = peers.size(); i-- > 0;)
-      if (peers[i]->defunct) drop_peer(i);
-  }
-
-  void reap_silent_peers() {
-    const double now = mono_seconds();
-    for (std::size_t i = peers.size(); i-- > 0;) {
-      const Peer& p = *peers[i];
-      bool dead;
-      if (p.kind == PeerKind::Client ||
-          (p.kind == PeerKind::Worker && p.lease == 0)) {
-        // Clients idle legitimately between requests, and a parked worker
-        // sits silent in its Welcome wait — only the partial-frame deadline
-        // applies (closes the drip-feed hole without reaping quiet peers).
-        dead = p.liveness.partial_since != 0.0 &&
-               now - p.liveness.partial_since >
-                   scfg.worker_timeout_s + scfg.frame_grace_s;
-      } else {
-        dead = p.liveness.expired(now, scfg.worker_timeout_s, scfg.frame_grace_s);
-      }
-      if (dead) {
-        ++stats.peers_timed_out;
-        drop_peer(i);
-      }
+    if (p.kind == PeerKind::Unknown) {
+      p.kind = PeerKind::Client;
+      ++stats.clients_served;
     }
   }
 
@@ -809,7 +493,7 @@ struct CampaignService::Impl {
     last_status = now;
     std::FILE* out = scfg.status_out != nullptr ? scfg.status_out : stderr;
     unsigned fleet = 0;
-    for (const auto& p : peers)
+    for (const auto& p : peers_)
       if (p->kind == PeerKind::Worker && !p->defunct) ++fleet;
     std::fprintf(out, "[campaignd] t=%.1fs workers=%u campaigns=%zu\n",
                  now - started_at, fleet, campaigns.size());
@@ -817,11 +501,11 @@ struct CampaignService::Impl {
       const CampaignStatus s = status_of(c, now);
       std::fprintf(out,
                    "[campaignd]   c%llu tenant=%s app=%s %s %llu/%llu "
-                   "workers=%u weight=%u inflight=%llu%s%s\n",
+                   "workers=%u weight=%u inflight=%llu subscribers=%zu%s%s\n",
                    (unsigned long long)s.id, s.tenant.c_str(), s.app_name.c_str(),
                    campaign_state_name(s.state), (unsigned long long)s.completed,
                    (unsigned long long)s.total, s.workers, s.weight,
-                   (unsigned long long)s.inflight,
+                   (unsigned long long)s.inflight, c.subscribers.size(),
                    s.error.empty() ? "" : " error=", s.error.c_str());
     }
     std::fflush(out);
@@ -833,94 +517,30 @@ struct CampaignService::Impl {
     started_at = mono_seconds();
     last_rebalance = started_at;
     last_status = 0.0;
-    net::ScopedSigint sigint(&stop_wake, scfg.handle_sigint);
     calib_thread = std::thread([this] { calib_main(); });
-
     queue_calibrations();  // recovered campaigns recalibrate immediately
-
-    while (!stop_requested.load(std::memory_order_relaxed)) {
-      integrate_calibrations();
-      remove_defunct_peers();
-
-      std::vector<pollfd> fds;
-      fds.push_back({listener.fd(), POLLIN, 0});
-      fds.push_back({stop_wake.read_fd(), POLLIN, 0});
-      fds.push_back({calib_wake.read_fd(), POLLIN, 0});
-      for (const auto& p : peers) fds.push_back({p->conn.fd(), POLLIN, 0});
-      ::poll(fds.data(), nfds_t(fds.size()),
-             int(scfg.poll_interval_s * 1000.0) + 1);
-
-      if (fds[1].revents & POLLIN) {
-        stop_wake.drain();
-        stop_requested.store(true, std::memory_order_relaxed);
-        break;
-      }
-      if (fds[2].revents & POLLIN) calib_wake.drain();
-
-      if (fds[0].revents & POLLIN)
-        while (auto conn = listener.accept()) {
-          auto p = std::make_unique<Peer>(std::move(*conn), scfg.max_client_frame,
-                                          mono_seconds());
-          p->id = next_peer_id++;
-          peers.push_back(std::move(p));
-        }
-
-      // fds[i + 3] belongs to peers[i] as the loop entered poll() (accepts
-      // only append); service back-to-front so drop_peer()'s erase cannot
-      // shift unvisited entries.
-      const std::size_t polled = fds.size() - 3;
-      for (std::size_t i = polled; i-- > 0;) {
-        if ((fds[i + 3].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-        if (!service_readable(*peers[i])) drop_peer(i);
-      }
-
-      integrate_calibrations();
-      reap_silent_peers();
-      remove_defunct_peers();
-      assign_and_dispatch();
-      const double now = mono_seconds();
-      rebalance(now);
-      print_status(now);
-    }
-
-    // Graceful stop: workers exit cleanly; live campaigns stay journaled
-    // and resume on the next start.
-    const auto shutdown_frame = frame_for(wire::MsgType::Shutdown, {});
-    for (const auto& p : peers) {
-      if (p->kind != PeerKind::Worker || p->defunct) continue;
-      try {
-        p->conn.send_all(shutdown_frame, /*timeout_s=*/2.0);
-      } catch (const std::exception&) {
-        // Exiting anyway.
-      }
-    }
-    listener.close();
-    {
-      std::lock_guard lock(calib_mutex);
-      calib_stop = true;
-    }
-    calib_cv.notify_all();
-    calib_thread.join();
-
+    // Ends with Shutdown to every worker; live campaigns stay journaled and
+    // resume on the next start.
+    serve();
+    stop_calibration();
+    static_cast<FleetCounters&>(stats) = counters_;
     stats.wall_seconds = mono_seconds() - started_at;
     return stats;
   }
 };
 
 CampaignService::CampaignService(ServiceConfig scfg)
-    : impl_(std::make_unique<Impl>(std::move(scfg))) {}
+    : impl_(std::make_unique<Impl>(scfg)) {}
 
 CampaignService::~CampaignService() = default;
 
-std::uint16_t CampaignService::port() const noexcept {
-  return impl_->listener.port();
-}
+std::uint16_t CampaignService::port() const noexcept { return impl_->port(); }
 
 ServiceReport CampaignService::run() { return impl_->run(); }
 
 void CampaignService::request_stop() noexcept {
   impl_->stop_requested.store(true, std::memory_order_relaxed);
-  impl_->stop_wake.notify();
+  impl_->wake();
 }
 
 }  // namespace gemfi::campaign::service

@@ -2,11 +2,11 @@
 //
 // A single long-running gemfi_campaignd process owns one worker fleet and
 // serves many clients at once: clients submit CampaignSpecs, poll status,
-// cancel, and stream results over the v2 control plane; workers join with
-// the unchanged v1 Hello and are leased to campaigns one connection at a
-// time (the Welcome fixes which app a connection runs, so moving a worker
-// between campaigns means closing its connection and letting the worker's
-// reconnect loop bring it back for reassignment).
+// cancel, and stream results over the control plane; workers join with the
+// same Hello as for the one-shot master and are leased to campaigns one
+// connection at a time (the Welcome fixes which app a connection runs, so
+// moving a worker between campaigns means closing its connection and letting
+// the worker's reconnect loop bring it back for reassignment).
 //
 // Durability: every accepted spec and every completed experiment is written
 // to a crash-recovery Journal before it is acknowledged anywhere else. A
@@ -15,11 +15,11 @@
 // results were never journaled, and finishes every in-flight campaign with
 // each experiment id appearing exactly once in its results file.
 //
-// Threading: the service is the dispatch master's poll loop grown a control
-// plane — everything network- and journal-facing runs on the single run()
-// thread. The one exception is calibration (seconds of simulation per app),
-// which runs on a background thread and posts completions back through a
-// queue + self-pipe wake.
+// Threading: the service is the fleet engine (campaign/fleet.hpp) grown a
+// control plane — everything network- and journal-facing runs on the single
+// run() thread. The one exception is calibration (seconds of simulation per
+// app), which runs on a background thread and posts completions back through
+// a queue + self-pipe wake.
 #pragma once
 
 #include <cstdint>
@@ -27,24 +27,16 @@
 #include <memory>
 #include <string>
 
+#include "campaign/fleet.hpp"
 #include "campaign/service/spec.hpp"
 
 namespace gemfi::campaign::service {
 
-struct ServiceConfig {
-  std::string bind_address = "127.0.0.1";
-  std::uint16_t port = 0;     // 0 = ephemeral (see CampaignService::port())
+/// Daemon settings on top of the shared fleet tuning. With handle_sigint,
+/// SIGINT stops gracefully: workers get Shutdown, live campaigns stay
+/// journaled and resume on the next start.
+struct ServiceConfig : FleetConfig {
   std::string journal_dir;    // required: crash-recovery journal root
-
-  // Liveness (same model as DispatchConfig: idle measured from the last
-  // complete frame, partial frames get a bounded grace).
-  double worker_timeout_s = 15.0;
-  double frame_grace_s = 10.0;
-
-  double poll_interval_s = 0.05;     // event-loop tick
-  unsigned pipeline_depth = 2;       // in-flight per worker = slots * depth
-  std::size_t max_worker_frame = 1 << 20;
-  std::size_t max_client_frame = 1 << 20;
   double client_send_timeout_s = 10.0;
 
   /// How often the fair-share rebalancer may move a worker between
@@ -55,14 +47,9 @@ struct ServiceConfig {
   /// stderr) this often — the daemon's progress display.
   double status_interval_s = 0.0;
   std::FILE* status_out = nullptr;
-
-  /// Install a SIGINT handler for the duration of run() that triggers a
-  /// graceful stop (workers get Shutdown; live campaigns stay journaled and
-  /// resume on the next start).
-  bool handle_sigint = false;
 };
 
-struct ServiceReport {
+struct ServiceReport : FleetCounters {
   std::uint64_t campaigns_submitted = 0;  // accepted over the wire this run
   std::uint64_t campaigns_recovered = 0;  // resumed from the journal
   std::uint64_t campaigns_done = 0;
@@ -70,13 +57,7 @@ struct ServiceReport {
   std::uint64_t campaigns_failed = 0;
   std::uint64_t campaigns_stopped_early = 0;  // sequential stop rule fired
   std::uint64_t results_journaled = 0;    // lines appended this run
-  std::uint64_t duplicate_results = 0;    // dropped by exactly-once dedup
-  unsigned workers_joined = 0;
-  unsigned workers_lost = 0;
   unsigned clients_served = 0;
-  std::uint64_t requeued = 0;
-  std::uint64_t frames_rejected = 0;
-  std::uint64_t peers_timed_out = 0;
   std::uint64_t rebalance_moves = 0;      // workers parted for fair share
   double wall_seconds = 0.0;
 };
@@ -95,7 +76,8 @@ class CampaignService {
   [[nodiscard]] std::uint16_t port() const noexcept;
 
   /// Serve until request_stop() (or SIGINT with handle_sigint). Recovered
-  /// campaigns are recalibrated and resumed automatically.
+  /// campaigns are recalibrated and resumed automatically. A journal write
+  /// that fails throws out of run(): nothing further is acknowledged.
   ServiceReport run();
 
   /// Thread-safe graceful stop: finish the current tick, send Shutdown to

@@ -45,7 +45,7 @@ struct CampaignSpec {
   bool fastpath = true;
   bool fastmode = true;  // superblock golden-path tier (A/B knob)
 
-  /// Sequential early-stop rule (v5): stop once every outcome proportion's
+  /// Sequential early-stop rule: stop once every outcome proportion's
   /// Wilson CI half-width is below stop_eps at stop_conf confidence,
   /// evaluated on index-ordered prefixes. 0 disables (run all experiments).
   double stop_eps = 0.0;

@@ -2,7 +2,14 @@
 
 #include <limits>
 
+#include "net/frame.hpp"
+
 namespace gemfi::campaign::wire {
+
+std::vector<std::uint8_t> frame_for(MsgType type,
+                                    std::span<const std::uint8_t> payload) {
+  return net::encode_frame(std::uint8_t(type), payload);
+}
 
 namespace {
 
@@ -42,7 +49,7 @@ void put_result(ByteWriter& w, const ExperimentResult& er) {
   w.put_bool(er.syscall_class.injected);
   w.put_bool(er.syscall_class.unrealistic);
   w.put_u64(er.syscalls_injected);
-  w.put_bool(er.fastmode);  // v4
+  w.put_bool(er.fastmode);
 }
 
 ExperimentResult get_result(ByteReader& r) {
@@ -75,7 +82,7 @@ ExperimentResult get_result(ByteReader& r) {
   er.syscall_class.injected = r.get_bool();
   er.syscall_class.unrealistic = r.get_bool();
   er.syscalls_injected = r.get_u64();
-  er.fastmode = r.get_bool();  // v4
+  er.fastmode = r.get_bool();
   return er;
 }
 
@@ -91,9 +98,9 @@ Hello decode_hello(std::span<const std::uint8_t> payload) {
   Hello h;
   h.version = r.get_u32();
   h.slots = r.get_u32();
-  if (h.version == 0 || h.version > kProtocolVersion)
+  if (h.version != kProtocolVersion)
     throw DeserializeError("protocol version mismatch: worker speaks v" +
-                           std::to_string(h.version) + ", master accepts up to v" +
+                           std::to_string(h.version) + ", master speaks v" +
                            std::to_string(kProtocolVersion));
   if (h.slots == 0 || h.slots > 1024)
     throw DeserializeError("implausible worker slot count: " + std::to_string(h.slots));
@@ -203,7 +210,7 @@ std::vector<std::uint8_t> encode_welcome(const Welcome& w) {
   b.put_u32(std::uint32_t(w.syscall_plan_lines.size()));
   for (const std::string& line : w.syscall_plan_lines) b.put_string(line);
   b.put_bool(w.random_syscall_faults);
-  b.put_bool(w.fastmode);  // v4: appended so a v3 decoder sees trailing bytes
+  b.put_bool(w.fastmode);
   return b.take();
 }
 
@@ -239,7 +246,7 @@ Welcome decode_welcome(std::span<const std::uint8_t> payload) {
   for (std::uint32_t i = 0; i < n_plans; ++i)
     w.syscall_plan_lines.push_back(r.get_string());
   w.random_syscall_faults = r.get_bool();
-  w.fastmode = r.get_bool();  // v4
+  w.fastmode = r.get_bool();
   if (!r.at_end()) throw DeserializeError("trailing bytes in Welcome");
   return w;
 }

@@ -22,22 +22,12 @@
 
 namespace gemfi::campaign::wire {
 
-/// v1 is the original master/worker dispatch protocol; v2 adds the campaign-
-/// service control plane (message types 10+ below); v3 appends the syscall-
-/// fault fields to Welcome and Result, so pre-v3 peers reject those frames as
-/// malformed (trailing bytes) instead of silently dropping the plans; v4
-/// appends the golden-path fast-mode flag to both Welcome (so every worker
-/// runs the same engine tier as the master decided) and Result (so replay can
-/// force the identical engagement decision); v5 adds the sequential
-/// early-stop plane — CancelQueue/CancelAck so a statistically satisfied
-/// master can reclaim queued-but-unstarted experiments from workers instead
-/// of waiting them out, and AggregateUpdate so service clients can stream
-/// the online aggregate. Masters accept any Hello version in
-/// [1, kProtocolVersion].
+/// Every peer is built from this tree, so a Hello with any other version is
+/// rejected.
 inline constexpr std::uint32_t kProtocolVersion = 5;
 
 enum class MsgType : std::uint8_t {
-  // --- worker plane (unchanged since v1) ---
+  // --- worker plane ---
   Hello = 1,      // worker -> master: version + slot count
   Welcome = 2,    // master -> worker: campaign config + calibration + checkpoint
   Batch = 3,      // master -> worker: experiment (index, fault) pairs
@@ -45,11 +35,11 @@ enum class MsgType : std::uint8_t {
   Heartbeat = 5,  // worker -> master: liveness + busy-slot count
   Shutdown = 6,   // master -> worker: campaign over, exit after current work
 
-  // --- sequential early-stop plane (v5) ---
+  // --- sequential early-stop plane ---
   CancelQueue = 7,  // master -> worker: drop queued-not-started experiments
   CancelAck = 8,    // worker -> master: indices it dropped (still uniquely owned)
 
-  // --- control plane (v2, client <-> campaign service; codecs live in
+  // --- control plane (client <-> campaign service; codecs live in
   // campaign/service/control.hpp) ---
   SubmitCampaign = 10,  // client -> service: CampaignSpec
   SubmitReply = 11,     // service -> client: assigned id or error
@@ -60,8 +50,12 @@ enum class MsgType : std::uint8_t {
   StreamResults = 16,   // client -> service: subscribe to a campaign's JSONL
   ResultLines = 17,     // service -> client: a batch of JSONL record lines
   StreamEnd = 18,       // service -> client: campaign reached a terminal state
-  AggregateUpdate = 19,  // service -> client: online aggregate summary JSON (v5)
+  AggregateUpdate = 19,  // service -> client: online aggregate summary JSON
 };
+
+/// A message of `type` carrying `payload`, framed for the wire (net::Frame).
+std::vector<std::uint8_t> frame_for(MsgType type,
+                                    std::span<const std::uint8_t> payload = {});
 
 struct Hello {
   std::uint32_t version = kProtocolVersion;
@@ -92,7 +86,7 @@ struct Welcome {
   bool use_checkpoint = true;
   bool predecode = true;
   bool fastpath = true;
-  bool fastmode = true;  // superblock golden-path tier (v4)
+  bool fastmode = true;  // superblock golden-path tier
   bool shared_baseline = true;
   std::uint64_t watchdog_mult = 8;
   std::uint64_t campaign_seed = 0;
@@ -100,7 +94,7 @@ struct Welcome {
   std::uint32_t max_retries = 2;
   double retry_backoff = 2.0;
 
-  // Syscall-fault campaign setup (v3). Plans travel in their canonical
+  // Syscall-fault campaign setup. Plans travel in their canonical
   // grammar lines; the worker re-parses them, so the grammar is the wire
   // format and a hostile line is rejected by the same validation the CLI uses.
   std::vector<std::string> syscall_plan_lines;

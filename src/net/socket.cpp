@@ -7,7 +7,6 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -91,40 +90,6 @@ TcpConn TcpConn::connect(const std::string& host, std::uint16_t port,
                     last_error);
 }
 
-namespace {
-
-sockaddr_un resolve_unix(const std::string& path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.empty() || path.size() >= sizeof addr.sun_path)
-    throw SocketError("unix socket path too long or empty: '" + path + "'");
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  return addr;
-}
-
-}  // namespace
-
-TcpConn TcpConn::connect_unix(const std::string& path, unsigned attempts,
-                              double backoff_s) {
-  const sockaddr_un addr = resolve_unix(path);
-  std::string last_error = "no attempts made";
-  for (unsigned attempt = 0; attempt < std::max(attempts, 1u); ++attempt) {
-    if (attempt != 0) {
-      std::this_thread::sleep_for(std::chrono::duration<double>(backoff_s));
-      backoff_s = std::min(backoff_s * 2.0, 2.0);
-    }
-    Fd fd(::socket(AF_UNIX, SOCK_STREAM, 0));
-    if (!fd.valid()) throw_errno("socket(AF_UNIX)");
-    if (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr), sizeof addr) ==
-        0) {
-      set_nonblocking(fd.get());
-      return TcpConn(std::move(fd));
-    }
-    last_error = std::strerror(errno);
-  }
-  throw SocketError("cannot connect to unix socket " + path + ": " + last_error);
-}
-
 void TcpConn::send_all(std::span<const std::uint8_t> data, double timeout_s) {
   const double deadline = mono_seconds() + timeout_s;
   std::size_t sent = 0;
@@ -195,58 +160,6 @@ std::optional<TcpConn> TcpListener::accept() {
   Fd owned(fd);
   set_nonblocking(owned.get());
   return TcpConn(std::move(owned));
-}
-
-UnixListener::UnixListener(UnixListener&& o) noexcept
-    : fd_(std::move(o.fd_)), path_(std::move(o.path_)) {
-  o.path_.clear();
-}
-
-UnixListener& UnixListener::operator=(UnixListener&& o) noexcept {
-  if (this != &o) {
-    close();
-    fd_ = std::move(o.fd_);
-    path_ = std::move(o.path_);
-    o.path_.clear();
-  }
-  return *this;
-}
-
-UnixListener UnixListener::bind_listen(const std::string& path, int backlog) {
-  const sockaddr_un addr = resolve_unix(path);
-  Fd fd(::socket(AF_UNIX, SOCK_STREAM, 0));
-  if (!fd.valid()) throw_errno("socket(AF_UNIX)");
-  // A previous master that crashed leaves the socket file behind; binding
-  // over it needs the unlink (there is no SO_REUSEADDR for AF_UNIX).
-  ::unlink(path.c_str());
-  if (::bind(fd.get(), reinterpret_cast<const sockaddr*>(&addr), sizeof addr) < 0)
-    throw_errno("bind unix socket " + path);
-  if (::listen(fd.get(), backlog) < 0) throw_errno("listen");
-  set_nonblocking(fd.get());
-
-  UnixListener l;
-  l.fd_ = std::move(fd);
-  l.path_ = path;
-  return l;
-}
-
-std::optional<TcpConn> UnixListener::accept() {
-  const int fd = ::accept(fd_.get(), nullptr, nullptr);
-  if (fd < 0) {
-    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return std::nullopt;
-    throw_errno("accept(unix)");
-  }
-  Fd owned(fd);
-  set_nonblocking(owned.get());
-  return TcpConn(std::move(owned));
-}
-
-void UnixListener::close() noexcept {
-  fd_.reset();
-  if (!path_.empty()) {
-    ::unlink(path_.c_str());
-    path_.clear();
-  }
 }
 
 SelfPipe::SelfPipe() {

@@ -59,14 +59,6 @@ class TcpConn {
   static TcpConn connect(const std::string& host, std::uint16_t port,
                          unsigned attempts = 1, double backoff_s = 0.1);
 
-  /// Connect to a UNIX-domain stream socket at `path` (same retry/backoff
-  /// contract as connect()). A connected AF_UNIX stream behaves exactly like
-  /// a connected TCP stream at this layer, so the result is a TcpConn and
-  /// everything above (framing, dispatch) is transport-agnostic; same-host
-  /// workers use this to skip the loopback TCP stack.
-  static TcpConn connect_unix(const std::string& path, unsigned attempts = 1,
-                              double backoff_s = 0.1);
-
   /// Write the whole span, waiting (poll POLLOUT) as needed; throws
   /// SocketError on a connection error or if `timeout_s` elapses while the
   /// peer accepts no bytes (a dead or wedged reader).
@@ -106,35 +98,6 @@ class TcpListener {
  private:
   Fd fd_;
   std::uint16_t port_ = 0;
-};
-
-/// A listening UNIX-domain stream socket (non-blocking). Binds `path`,
-/// unlinking any stale socket file first; the destructor (or close())
-/// unlinks it again. Accepted connections are plain TcpConn streams.
-class UnixListener {
- public:
-  UnixListener() = default;
-  ~UnixListener() { close(); }
-  UnixListener(UnixListener&& o) noexcept;
-  UnixListener& operator=(UnixListener&& o) noexcept;
-  UnixListener(const UnixListener&) = delete;
-  UnixListener& operator=(const UnixListener&) = delete;
-
-  /// Throws SocketError if `path` exceeds sockaddr_un's limit (~107 bytes)
-  /// or the bind/listen fails.
-  static UnixListener bind_listen(const std::string& path, int backlog = 16);
-
-  /// Accept one pending connection; nullopt if none is queued.
-  std::optional<TcpConn> accept();
-
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
-  [[nodiscard]] int fd() const noexcept { return fd_.get(); }
-  [[nodiscard]] bool valid() const noexcept { return fd_.valid(); }
-  void close() noexcept;
-
- private:
-  Fd fd_;
-  std::string path_;
 };
 
 /// Classic self-pipe: an async-signal-safe notify() end and a pollable read

@@ -1,6 +1,6 @@
 // Campaign machinery tests: calibration, random fault generation,
 // experiment execution with checkpoint fast-forwarding, outcome
-// classification invariants, parallel local campaigns, the NoW runner, and
+// classification invariants, parallel local campaigns, the NoW makespan model, and
 // the telemetry/robustness layer (JSONL streaming, wall-clock deadlines,
 // retry, per-experiment seeding, concurrent campaigns).
 #include <gtest/gtest.h>
@@ -165,27 +165,17 @@ TEST(Experiments, WorkerDirtyRestoreMatchesPerExperimentRestore) {
   }
 }
 
-TEST(Campaigns, NowRunnerMatchesLocalOutcomes) {
-  const auto ca = campaign::calibrate(apps::build_app("pi"), quick_config());
-  util::Rng rng(99);
-  std::vector<fi::Fault> faults;
-  for (int i = 0; i < 40; ++i)
-    faults.push_back(campaign::random_fault_any(rng, ca.kernel_fetches));
-
-  auto cfg = quick_config();
-  cfg.workers = 1;
-  const auto local = campaign::run_campaign(ca, faults, cfg);
-
-  campaign::NowConfig now;
-  now.workstations = 4;
-  now.slots_per_workstation = 2;
-  const auto dist = campaign::run_campaign_now(ca, faults, cfg, now);
-  EXPECT_EQ(dist.campaign.total(), faults.size());
-  EXPECT_GT(dist.modeled_makespan_seconds, 0.0);
-  for (std::size_t i = 0; i < faults.size(); ++i)
-    EXPECT_EQ(local.results[i].classification.outcome,
-              dist.campaign.results[i].classification.outcome)
-        << i;
+// Fig. 8's modeled NoW column: longest-first list scheduling of measured
+// durations onto workstations x slots, plus the parallel checkpoint copy.
+TEST(Campaigns, NowMakespanSchedulesLongestFirstPlusCopy) {
+  const std::vector<double> d = {1, 3, 1, 2, 1, 2};  // 10 s of work
+  EXPECT_DOUBLE_EQ(campaign::now_makespan(d, 2, 1, 0, 0.05), 5.0);
+  EXPECT_DOUBLE_EQ(campaign::now_makespan(d, 1, 2, 0, 0.05), 5.0);
+  EXPECT_DOUBLE_EQ(campaign::now_makespan(d, 1, 1, 0, 0.05), 10.0);
+  EXPECT_DOUBLE_EQ(campaign::now_makespan(d, 27, 4, 0, 0.05), 3.0);  // the longest
+  // The copy term: a 2 MiB image at 0.5 s/MiB.
+  EXPECT_DOUBLE_EQ(campaign::now_makespan(d, 2, 1, 2u << 20, 0.5), 6.0);
+  EXPECT_DOUBLE_EQ(campaign::now_makespan({}, 27, 4, 1u << 20, 0.05), 0.05);
 }
 
 // ---- telemetry / robustness layer ----
@@ -391,12 +381,11 @@ TEST(Retry, SimulatorInternalErrorIsBoundedAndReported) {
   EXPECT_EQ(report.total(), faults.size());
 }
 
-TEST(Concurrency, ParallelNowCampaignsMatchTheirGoldenRuns) {
-  // Two run_campaign_now() instances in flight simultaneously, distinct
-  // seeds: each must match its own single-threaded golden run bit-for-bit.
-  // Guards the per-campaign checkpoint-copy synchronization (the old
-  // function-local static mutex was shared across campaigns) and the
-  // order-independent per-experiment seeding.
+TEST(Concurrency, ParallelCampaignsMatchTheirGoldenRuns) {
+  // Two multi-threaded run_campaign() instances in flight simultaneously,
+  // distinct seeds: each must match its own single-threaded golden run
+  // bit-for-bit. Guards against campaign state shared across instances and
+  // checks the order-independent per-experiment seeding.
   const auto ca = campaign::calibrate(apps::build_app("pi"), quick_config());
   auto cfg = quick_config();
   cfg.workers = 1;
@@ -406,21 +395,20 @@ TEST(Concurrency, ParallelNowCampaignsMatchTheirGoldenRuns) {
   const auto golden_a = campaign::run_campaign(ca, faults_a, cfg);
   const auto golden_b = campaign::run_campaign(ca, faults_b, cfg);
 
-  campaign::NowConfig now;
-  now.workstations = 3;
-  now.slots_per_workstation = 2;
-  campaign::NowReport dist_a, dist_b;
-  std::thread ta([&] { dist_a = campaign::run_campaign_now(ca, faults_a, cfg, now); });
-  std::thread tb([&] { dist_b = campaign::run_campaign_now(ca, faults_b, cfg, now); });
+  auto parallel_cfg = cfg;
+  parallel_cfg.workers = 3;
+  campaign::CampaignReport par_a, par_b;
+  std::thread ta([&] { par_a = campaign::run_campaign(ca, faults_a, parallel_cfg); });
+  std::thread tb([&] { par_b = campaign::run_campaign(ca, faults_b, parallel_cfg); });
   ta.join();
   tb.join();
 
   const auto expect_bit_identical = [](const campaign::CampaignReport& golden,
-                                       const campaign::NowReport& dist) {
-    ASSERT_EQ(dist.campaign.results.size(), golden.results.size());
+                                       const campaign::CampaignReport& par) {
+    ASSERT_EQ(par.results.size(), golden.results.size());
     for (std::size_t i = 0; i < golden.results.size(); ++i) {
       const auto& g = golden.results[i];
-      const auto& d = dist.campaign.results[i];
+      const auto& d = par.results[i];
       EXPECT_EQ(d.classification.outcome, g.classification.outcome) << i;
       EXPECT_DOUBLE_EQ(d.classification.metric, g.classification.metric) << i;
       EXPECT_EQ(d.exit_reason, g.exit_reason) << i;
@@ -429,8 +417,8 @@ TEST(Concurrency, ParallelNowCampaignsMatchTheirGoldenRuns) {
       EXPECT_EQ(d.fault.to_line(), g.fault.to_line()) << i;
     }
   };
-  expect_bit_identical(golden_a, dist_a);
-  expect_bit_identical(golden_b, dist_b);
+  expect_bit_identical(golden_a, par_a);
+  expect_bit_identical(golden_b, par_b);
 }
 
 TEST(SampleSize, LeveugleFormulaMatchesPaperScale) {

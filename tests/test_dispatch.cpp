@@ -6,11 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <signal.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
-#include <filesystem>
 #include <functional>
 #include <mutex>
 #include <string>
@@ -21,6 +19,7 @@
 #include "campaign/dispatch.hpp"
 #include "campaign/observer.hpp"
 #include "campaign/runner.hpp"
+#include "campaign/wire.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
 #include "test_env.hpp"
@@ -334,7 +333,7 @@ TEST(Dispatch, DripFeedingPeerIsReapedNotImmortal) {
       // silence would be measured — then a valid Heartbeat frame dripped one
       // byte at a time, never finished, to hold a partial frame in flight.
       const auto hello = net::encode_frame(
-          1, std::vector<std::uint8_t>{2, 0, 0, 0, 1, 0, 0, 0});
+          1, campaign::wire::encode_hello({campaign::wire::kProtocolVersion, 1}));
       conn.send_all(hello);
       const auto drip = net::encode_frame(5, std::vector<std::uint8_t>(12, 0));
       std::size_t sent = 0;
@@ -401,78 +400,39 @@ TEST(Dispatch, SigintDrainsEveryConcurrentMaster) {
   EXPECT_LT(dr_b.completed, n);
 }
 
-// The same campaign over the AF_UNIX transport: identical records, identical
-// exactly-once guarantees — 'gfnw' framing is transport-agnostic.
-TEST(Dispatch, UnixTransportGoldenEquivalence) {
-  const Calibrated& c = calibrated();
-  const std::size_t n = 60;
-  const auto faults =
-      campaign::seeded_fault_set(c.cfg.campaign_seed, n, c.ca.kernel_fetches);
-
-  campaign::CampaignConfig tcp_cfg = c.cfg;
-  CollectingObserver tcp_obs;
-  tcp_cfg.observer = &tcp_obs;
-  const auto tcp_dr = campaign::run_campaign_service_local(c.ca, c.scale, faults,
-                                                           tcp_cfg, 2, /*slots=*/1);
-  ASSERT_EQ(tcp_dr.completed, n);
-
-  campaign::CampaignConfig ux_cfg = c.cfg;
-  CollectingObserver ux_obs;
-  ux_cfg.observer = &ux_obs;
-  campaign::DispatchConfig dcfg;
-  dcfg.unix_path = (std::filesystem::temp_directory_path() /
-                    ("gemfi_dispatch_ux_" + std::to_string(::getpid()) + ".sock"))
-                       .string();
-  const auto ux_dr = campaign::run_campaign_service_local(c.ca, c.scale, faults,
-                                                          ux_cfg, 2, /*slots=*/1, dcfg);
-
-  EXPECT_EQ(ux_dr.completed, n);
-  EXPECT_EQ(ux_dr.workers_lost, 0u);
-  EXPECT_EQ(ux_dr.duplicate_results, 0u);
-  EXPECT_EQ(ux_obs.count(), n);
-  EXPECT_EQ(normalized_sorted(tcp_obs.records()), normalized_sorted(ux_obs.records()));
-  EXPECT_EQ(tcp_dr.campaign.counts, ux_dr.campaign.counts);
-  // The listener's socket file is unlinked when the master goes away.
-  EXPECT_FALSE(std::filesystem::exists(dcfg.unix_path));
-}
-
 // The load-bearing property of the sequential stop rule: the stop index and
-// the stopped_early summary are byte-identical across worker counts,
-// schedulings and transports, because the rule is evaluated on index-ordered
-// prefixes — not arrival order.
+// the stopped_early summary are byte-identical across worker counts and
+// schedulings, because the rule is evaluated on index-ordered prefixes — not
+// arrival order.
 TEST(Dispatch, EarlyStopDeterministicAcrossWorkerCountsAndTransports) {
   const Calibrated& c = calibrated();
   const std::size_t n = GEMFI_SANITIZED ? 120 : 300;
   const auto faults =
       campaign::seeded_fault_set(c.cfg.campaign_seed, n, c.ca.kernel_fetches);
 
-  const auto run_with = [&](unsigned workers, const std::string& unix_path) {
+  const auto run_with = [&](unsigned workers) {
     campaign::CampaignConfig cfg = c.cfg;
     campaign::DispatchConfig dcfg;
     dcfg.stop = campaign::parse_stop_ci("0.08@0.95");
-    dcfg.unix_path = unix_path;
     return campaign::run_campaign_service_local(c.ca, c.scale, faults, cfg, workers,
                                                 /*slots=*/1, dcfg);
   };
 
-  const auto one = run_with(1, "");
-  const auto three = run_with(3, "");
-  const auto ux = run_with(2, (std::filesystem::temp_directory_path() /
-                               ("gemfi_dispatch_stop_" + std::to_string(::getpid()) +
-                                ".sock"))
-                                  .string());
+  const auto one = run_with(1);
+  const auto three = run_with(3);
+  const auto two = run_with(2);
 
   ASSERT_TRUE(one.stopped_early);
   ASSERT_TRUE(three.stopped_early);
-  ASSERT_TRUE(ux.stopped_early);
+  ASSERT_TRUE(two.stopped_early);
   EXPECT_TRUE(one.drained_early);
   EXPECT_GT(one.stop_index, 0u);
   EXPECT_LT(one.stop_index, n);
   EXPECT_EQ(one.stop_index, three.stop_index);
-  EXPECT_EQ(one.stop_index, ux.stop_index);
+  EXPECT_EQ(one.stop_index, two.stop_index);
   EXPECT_FALSE(one.aggregate_summary.empty());
   EXPECT_EQ(one.aggregate_summary, three.aggregate_summary);
-  EXPECT_EQ(one.aggregate_summary, ux.aggregate_summary);
+  EXPECT_EQ(one.aggregate_summary, two.aggregate_summary);
 
   // The stop saves real dispatch work: completions cover the prefix plus the
   // drained in-flight tail, and the cancelled queue accounts for the rest.

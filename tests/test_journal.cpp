@@ -195,6 +195,21 @@ TEST(Journal, DuplicateResultLinesAreCountedOnce) {
   fs::remove_all(dir);
 }
 
+// A results file that cannot take the write (a full disk: /dev/full behind
+// the results path) throws instead of letting the service acknowledge a
+// result that never reached the file.
+TEST(Journal, AppendResultThrowsWhenTheWriteFails) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full on this system";
+  const fs::path dir = fresh_dir("enospc");
+  {
+    service::Journal j(dir.string());
+    fs::create_symlink("/dev/full", j.results_path(1));
+    EXPECT_THROW(j.append_result(1, R"({"index":0,"outcome":"SDC"})"),
+                 std::runtime_error);
+  }
+  fs::remove_all(dir);
+}
+
 // --- control-plane codecs ---
 
 TEST(Control, SubmitRoundTrip) {

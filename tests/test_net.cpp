@@ -3,10 +3,7 @@
 // spawning worker processes.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstring>
-#include <filesystem>
 #include <optional>
 #include <thread>
 
@@ -14,7 +11,6 @@
 #include "campaign/wire.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
-#include "test_env.hpp"
 #include "util/bytesio.hpp"
 
 using namespace gemfi;
@@ -163,6 +159,14 @@ TEST(Wire, HelloRejectsVersionSkewAndBadSlots) {
       util::DeserializeError);
 }
 
+// Every peer is built from one tree: the adjacent versions on both sides are
+// refused, not just versions from the future.
+TEST(Wire, HelloAcceptsExactlyTheCurrentVersion) {
+  for (const std::uint32_t v : {wire::kProtocolVersion - 1, wire::kProtocolVersion + 1})
+    EXPECT_THROW(wire::decode_hello(wire::encode_hello({v, 1})), util::DeserializeError)
+        << "version " << v;
+}
+
 TEST(Wire, ResultRoundTrip) {
   wire::ResultMsg msg;
   msg.index = 1234;
@@ -309,128 +313,4 @@ TEST(Socket, SelfPipeDrainsWithoutBlocking) {
   pipe.notify();
   pipe.drain();
   SUCCEED();
-}
-
-// --- UNIX-domain transport ---
-// An accepted AF_UNIX stream is a plain TcpConn, so the whole TCP contract
-// (send/recv, EOF, framing, hostile-peer rejection) must hold unchanged.
-
-namespace {
-
-std::string unix_sock_path(const char* tag) {
-  return (std::filesystem::temp_directory_path() /
-          (std::string("gemfi_net_") + tag + "_" + std::to_string(::getpid()) + ".sock"))
-      .string();
-}
-
-std::optional<net::TcpConn> accept_one(net::UnixListener& listener) {
-  for (int i = 0; i < 200; ++i) {
-    if (auto conn = listener.accept()) return conn;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  return std::nullopt;
-}
-
-}  // namespace
-
-TEST(UnixSocket, SendRecvAndEofMatchTcpSemantics) {
-  const std::string path = unix_sock_path("rt");
-  auto listener = net::UnixListener::bind_listen(path);
-  ASSERT_TRUE(listener.valid());
-  EXPECT_EQ(listener.path(), path);
-
-  net::TcpConn client = net::TcpConn::connect_unix(path, 5, 0.05);
-  auto server = accept_one(listener);
-  ASSERT_TRUE(server.has_value());
-
-  const auto msg = bytes_of("over the unix socket");
-  client.send_all(msg);
-  std::vector<std::uint8_t> got;
-  std::uint8_t buf[64];
-  while (got.size() < msg.size()) {
-    ASSERT_TRUE(server->wait_readable(gemfi::testenv::scaled_s(2.0)));
-    const auto n = server->recv_some(buf);
-    ASSERT_TRUE(n.has_value());
-    got.insert(got.end(), buf, buf + *n);
-  }
-  EXPECT_EQ(got, msg);
-
-  client.close();
-  ASSERT_TRUE(server->wait_readable(gemfi::testenv::scaled_s(2.0)));
-  EXPECT_FALSE(server->recv_some(buf).has_value());  // EOF
-}
-
-TEST(UnixSocket, GfnwFramesRoundTripUnchanged) {
-  const std::string path = unix_sock_path("frames");
-  auto listener = net::UnixListener::bind_listen(path);
-  net::TcpConn client = net::TcpConn::connect_unix(path, 5, 0.05);
-  auto server = accept_one(listener);
-  ASSERT_TRUE(server.has_value());
-
-  const auto payload = bytes_of("transport-agnostic framing");
-  client.send_all(net::encode_frame(7, payload));
-
-  net::FrameReader reader(1 << 16);
-  std::optional<net::Frame> frame;
-  std::uint8_t buf[256];
-  while (!frame) {
-    ASSERT_TRUE(server->wait_readable(gemfi::testenv::scaled_s(2.0)));
-    const auto n = server->recv_some(buf);
-    ASSERT_TRUE(n.has_value());
-    reader.feed(std::span<const std::uint8_t>(buf, *n));
-    frame = reader.next();
-  }
-  EXPECT_EQ(frame->type, 7);
-  EXPECT_EQ(frame->payload, payload);
-}
-
-TEST(UnixSocket, HostilePeerGarbageIsRejectedByFraming) {
-  const std::string path = unix_sock_path("hostile");
-  auto listener = net::UnixListener::bind_listen(path);
-  net::TcpConn client = net::TcpConn::connect_unix(path, 5, 0.05);
-  auto server = accept_one(listener);
-  ASSERT_TRUE(server.has_value());
-
-  client.send_all(bytes_of("GET / HTTP/1.1\r\n"));
-  net::FrameReader reader(1 << 16);
-  std::uint8_t buf[64];
-  ASSERT_TRUE(server->wait_readable(gemfi::testenv::scaled_s(2.0)));
-  const auto n = server->recv_some(buf);
-  ASSERT_TRUE(n.has_value());
-  reader.feed(std::span<const std::uint8_t>(buf, *n));
-  EXPECT_THROW(reader.next(), net::ProtocolError);
-}
-
-TEST(UnixSocket, RebindUnlinksStaleSocketFile) {
-  const std::string path = unix_sock_path("stale");
-  {
-    auto first = net::UnixListener::bind_listen(path);
-    ASSERT_TRUE(first.valid());
-    // Simulate a crashed master: the socket file outlives the listener. The
-    // destructor normally unlinks, so re-create the stale file by hand.
-  }
-  {
-    auto stale = net::UnixListener::bind_listen(path);
-    // Leak the file on purpose: close the fd without the destructor's unlink
-    // by moving the listener away and abandoning the path check to bind #2.
-    auto second = net::UnixListener::bind_listen(path);  // must unlink + rebind
-    ASSERT_TRUE(second.valid());
-    net::TcpConn client = net::TcpConn::connect_unix(path, 5, 0.05);
-    auto conn = accept_one(second);
-    EXPECT_TRUE(conn.has_value());
-  }
-  EXPECT_FALSE(std::filesystem::exists(path));
-}
-
-TEST(UnixSocket, OverlongPathThrows) {
-  EXPECT_THROW(
-      net::UnixListener::bind_listen("/tmp/" + std::string(200, 'x') + ".sock"),
-      net::SocketError);
-  EXPECT_THROW(net::TcpConn::connect_unix("/tmp/" + std::string(200, 'x') + ".sock"),
-               net::SocketError);
-}
-
-TEST(UnixSocket, ConnectToMissingPathThrowsAfterBudget) {
-  EXPECT_THROW(net::TcpConn::connect_unix(unix_sock_path("missing"), 2, 0.01),
-               net::SocketError);
 }

@@ -549,3 +549,59 @@ TEST(Service, StopCiCampaignStopsEarlyWithOneSummaryRecord) {
   EXPECT_EQ(report.duplicate_results, 0u);
   fs::remove_all(dir);
 }
+
+// A client that subscribes to a live campaign's result stream and then goes
+// away stops being a subscriber: the status display counts it while it is
+// connected and not after, so repeated watchers leave no stale ids behind.
+TEST(Service, DisconnectedStreamClientIsUnsubscribed) {
+  const fs::path dir = fresh_dir("unsub");
+  std::FILE* status = std::tmpfile();
+  ASSERT_NE(status, nullptr);
+  service::ServiceConfig scfg;
+  scfg.journal_dir = dir.string();
+  scfg.status_interval_s = 0.05;
+  scfg.status_out = status;
+  service::CampaignService svc(scfg);
+  const std::uint16_t port = svc.port();
+  std::thread server([&] { svc.run(); });
+
+  // No workers: the campaign calibrates, then waits in Running for a fleet.
+  std::uint64_t id = 0;
+  {
+    service::Client c = service::Client::connect("127.0.0.1", port);
+    id = c.submit(pi_spec("alice", 100, 1234));
+  }
+  wait_for_status(port, 60.0, [&](const auto& all) {
+    const auto* s = find_status(all, id);
+    return s && s->state == service::CampaignState::Running;
+  });
+  for (int i = 0; i < 3; ++i) {
+    service::Client c = service::Client::connect("127.0.0.1", port);
+    EXPECT_THROW(c.stream(id, [](const std::string&) {}, /*timeout_s=*/0.3),
+                 net::SocketError);
+  }  // each watcher's connection closes here
+  std::this_thread::sleep_for(
+      std::chrono::duration<double>(testenv::scaled_s(0.5)));  // several status ticks
+  svc.request_stop();
+  server.join();
+
+  // The status display, read back once the service thread is gone.
+  std::rewind(status);
+  std::string text;
+  char buf[4096];
+  for (std::size_t got; (got = std::fread(buf, 1, sizeof buf, status)) > 0;)
+    text.append(buf, got);
+  std::fclose(status);
+  const std::string tag = "c" + std::to_string(id) + " tenant=";
+  std::vector<unsigned long> counts;
+  for (std::size_t at = text.find(tag); at != std::string::npos;
+       at = text.find(tag, at + 1)) {
+    const std::size_t field = text.find("subscribers=", at);
+    ASSERT_NE(field, std::string::npos);
+    counts.push_back(std::stoul(text.substr(field + 12)));
+  }
+  ASSERT_FALSE(counts.empty());
+  EXPECT_GE(*std::max_element(counts.begin(), counts.end()), 1u);
+  EXPECT_EQ(counts.back(), 0u);
+  fs::remove_all(dir);
+}
