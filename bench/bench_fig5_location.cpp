@@ -54,11 +54,11 @@ int main(int argc, char** argv) {
       for (std::size_t i = 0; i < n; ++i)
         faults.push_back(campaign::random_fault(rng, kLocations[li], ca.kernel_fetches));
       const auto report = campaign::run_campaign(ca, faults, cfg);
-      bench::print_outcome_row(std::string("  ") + kLocNames[li], report);
+      bench::print_outcome_row(name, kLocNames[li], report);
       for (unsigned o = 0; o < apps::kNumOutcomes; ++o) total.counts[o] += report.counts[o];
       total.wall_seconds += report.wall_seconds;
     }
-    bench::print_outcome_row("  TOTAL", total);
+    bench::print_outcome_row(name, "TOTAL", total);
     std::printf("  campaign wall time: %.1f s\n\n", total.wall_seconds);
   }
   return bench::json_write(opt.json, "fig5_location") ? 0 : 1;

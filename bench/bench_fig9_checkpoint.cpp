@@ -1,5 +1,7 @@
-// Checkpoint fast-path benchmark: per-experiment restore cost of the v2
-// shared-baseline dirty-page restore vs the legacy full v1 deserialize.
+// Checkpoint fast-path benchmark: per-experiment restore cost of the
+// shared-baseline dirty-page restore vs a fresh Simulation plus a full
+// checkpoint restore (parse, decode and copy the whole image) — the path a
+// campaign falls back to when its baseline cannot be parsed.
 //
 // Two sections:
 //   1. A synthetic sweep over checkpoint position (init iterations before
@@ -98,11 +100,11 @@ apps::App build_touch_app(std::uint64_t init_iters, std::uint64_t kernel_iters,
 }
 
 struct RestoreCompare {
-  double v1_ms = 0;           // mean per-experiment: construct + full v1 restore
-  double v2_ms = 0;           // mean per-experiment: dirty-page restore
+  double full_ms = 0;         // mean per-experiment: construct + full restore
+  double dirty_ms = 0;        // mean per-experiment: dirty-page restore
   double dirty_pages = 0;     // mean pages copied per dirty restore
   bool outcomes_match = true;
-  [[nodiscard]] double speedup() const { return v2_ms > 0 ? v1_ms / v2_ms : 0; }
+  [[nodiscard]] double speedup() const { return dirty_ms > 0 ? full_ms / dirty_ms : 0; }
 };
 
 /// Run the same faults through both restore paths, timing only the restore
@@ -117,39 +119,29 @@ RestoreCompare measure_restore(const campaign::CalibratedApp& ca,
   scfg.switch_to_atomic_after_fault = cfg.switch_to_atomic_after_fault;
   const std::uint64_t watchdog = cfg.watchdog_mult * ca.golden_ticks + 1'000'000;
 
-  const auto image = chkpt::CheckpointImage::parse(ca.checkpoint);
+  std::array<std::size_t, apps::kNumOutcomes> full_counts{}, dirty_counts{};
 
-  // A v1 blob of the same machine state, for the legacy path.
-  chkpt::Checkpoint v1;
-  {
-    sim::Simulation s(scfg, ca.app.program);
-    s.spawn_main_thread();
-    image.restore_into(s);
-    v1 = chkpt::Checkpoint::capture(s, {chkpt::CheckpointFormat::V1});
-  }
-
-  std::array<std::size_t, apps::kNumOutcomes> v1_counts{}, v2_counts{};
-
-  // Legacy path: fresh Simulation + full v1 deserialize per experiment.
-  double v1_total = 0;
+  // Full path: fresh Simulation + full checkpoint restore per experiment.
+  double full_total = 0;
   for (const fi::Fault& f : faults) {
     const auto t0 = Clock::now();
     sim::Simulation s(scfg, ca.app.program);
     s.spawn_main_thread();
-    v1.restore_into(s);
-    v1_total += ms_since(t0);
+    ca.checkpoint.restore_into(s);
+    full_total += ms_since(t0);
     s.fault_manager().load_faults({f});
     const sim::RunResult rr = s.run(watchdog);
     const auto c = campaign::classify(ca.app, rr, s.fault_manager(), s.output(0));
-    ++v1_counts[std::size_t(c.outcome)];
+    ++full_counts[std::size_t(c.outcome)];
   }
-  rc.v1_ms = v1_total / double(faults.size());
+  rc.full_ms = full_total / double(faults.size());
 
-  // Shared-baseline path: one persistent Simulation; the first restore is
-  // full (amortized across the campaign, excluded), the rest copy only the
-  // pages the previous experiment dirtied.
-  double v2_total = 0;
-  std::uint64_t dirty_total = 0;
+  // Shared-baseline path: parse once, one persistent Simulation; the first
+  // restore is full (amortized across the campaign, excluded), the rest copy
+  // only the pages the previous experiment dirtied.
+  const auto image = chkpt::CheckpointImage::parse(ca.checkpoint);
+  double dirty_total = 0;
+  std::uint64_t dirty_pages = 0;
   std::size_t dirty_restores = 0;
   sim::Simulation s(scfg, ca.app.program);
   s.spawn_main_thread();
@@ -157,18 +149,18 @@ RestoreCompare measure_restore(const campaign::CalibratedApp& ca,
   for (std::size_t i = 0; i < faults.size(); ++i) {
     if (i != 0) {
       const auto t0 = Clock::now();
-      dirty_total += image.restore_dirty_into(s);
-      v2_total += ms_since(t0);
+      dirty_pages += image.restore_dirty_into(s);
+      dirty_total += ms_since(t0);
       ++dirty_restores;
     }
     s.fault_manager().load_faults({faults[i]});
     const sim::RunResult rr = s.run(watchdog);
     const auto c = campaign::classify(ca.app, rr, s.fault_manager(), s.output(0));
-    ++v2_counts[std::size_t(c.outcome)];
+    ++dirty_counts[std::size_t(c.outcome)];
   }
-  rc.v2_ms = dirty_restores == 0 ? 0 : v2_total / double(dirty_restores);
-  rc.dirty_pages = dirty_restores == 0 ? 0 : double(dirty_total) / double(dirty_restores);
-  rc.outcomes_match = v1_counts == v2_counts;
+  rc.dirty_ms = dirty_restores == 0 ? 0 : dirty_total / double(dirty_restores);
+  rc.dirty_pages = dirty_restores == 0 ? 0 : double(dirty_pages) / double(dirty_restores);
+  rc.outcomes_match = full_counts == dirty_counts;
   return rc;
 }
 
@@ -177,12 +169,10 @@ RestoreCompare measure_restore(const campaign::CalibratedApp& ca,
 int main(int argc, char** argv) {
   const bench::Options opt = bench::parse_options(argc, argv);
   bench::print_header(
-      "Fig. 9 (extension): per-experiment restore cost, v1 full deserialize vs "
-      "v2 shared-baseline dirty-page restore");
+      "Fig. 9 (extension): per-experiment restore cost, full restore vs "
+      "shared-baseline dirty-page restore");
 
-  auto cfg = opt.campaign_config();
-  cfg.ckpt_format = chkpt::CheckpointFormat::V2;
-  cfg.ckpt_compress = true;
+  const auto cfg = opt.campaign_config();
 
   // --- 1. synthetic sweep: checkpoint position x experiment length ---------
   const std::size_t sweep_n = opt.per_cell(8, 4, 16);
@@ -196,8 +186,8 @@ int main(int argc, char** argv) {
 
   std::printf("  sweep: %zu experiments/cell, %" PRIu64 " KiB store window\n\n",
               sweep_n, kWindowBytes / 1024);
-  std::printf("%10s %10s %8s %10s %12s %12s %10s %9s\n", "init", "kernel", "pages",
-              "wire(KB)", "v1-rest(ms)", "v2-rest(ms)", "dirty-pg", "speedup");
+  std::printf("%10s %10s %8s %10s %13s %14s %10s %9s\n", "init", "kernel", "pages",
+              "wire(KB)", "full-rest(ms)", "dirty-rest(ms)", "dirty-pg", "speedup");
   for (const std::uint64_t init : init_grid) {
     for (const std::uint64_t kernel : kernel_grid) {
       const auto ca =
@@ -205,11 +195,11 @@ int main(int argc, char** argv) {
       const auto faults =
           campaign::seeded_fault_set(opt.seed ^ init ^ kernel, sweep_n, ca.kernel_fetches);
       const auto rc = measure_restore(ca, faults, cfg);
-      const auto cs = ca.checkpoint.stats();
-      std::printf("%10" PRIu64 " %10" PRIu64 " %8" PRIu64 " %10.1f %12.3f %12.3f "
+      const auto cs = chkpt::CheckpointImage::parse(ca.checkpoint).stats();
+      std::printf("%10" PRIu64 " %10" PRIu64 " %8" PRIu64 " %10.1f %13.3f %14.3f "
                   "%10.1f %8.1fx%s\n",
                   init, kernel, cs.pages_stored, double(cs.encoded_bytes) / 1024.0,
-                  rc.v1_ms, rc.v2_ms, rc.dirty_pages, rc.speedup(),
+                  rc.full_ms, rc.dirty_ms, rc.dirty_pages, rc.speedup(),
                   rc.outcomes_match ? "" : "  OUTCOME-MISMATCH");
     }
   }
@@ -217,8 +207,8 @@ int main(int argc, char** argv) {
   // --- 2. the Fig. 8 campaign workload -------------------------------------
   const std::size_t n = opt.per_cell(12, 4, 100);
   std::printf("\n  Fig. 8 workload: %zu experiments per app\n\n", n);
-  std::printf("%-10s %8s %10s %12s %12s %10s %9s\n", "app", "pages", "wire(KB)",
-              "v1-rest(ms)", "v2-rest(ms)", "dirty-pg", "speedup");
+  std::printf("%-10s %8s %10s %13s %14s %10s %9s\n", "app", "pages", "wire(KB)",
+              "full-rest(ms)", "dirty-rest(ms)", "dirty-pg", "speedup");
   double worst = 0;
   bool first_app = true;
   bool all_match = true;
@@ -227,21 +217,21 @@ int main(int argc, char** argv) {
     const std::uint64_t app_seed = opt.seed ^ (std::hash<std::string>{}(name) * 7);
     const auto faults = campaign::seeded_fault_set(app_seed, n, ca.kernel_fetches);
     const auto rc = measure_restore(ca, faults, cfg);
-    const auto cs = ca.checkpoint.stats();
-    std::printf("%-10s %8" PRIu64 " %10.1f %12.3f %12.3f %10.1f %8.1fx%s\n",
+    const auto cs = chkpt::CheckpointImage::parse(ca.checkpoint).stats();
+    std::printf("%-10s %8" PRIu64 " %10.1f %13.3f %14.3f %10.1f %8.1fx%s\n",
                 name.c_str(), cs.pages_stored, double(cs.encoded_bytes) / 1024.0,
-                rc.v1_ms, rc.v2_ms, rc.dirty_pages, rc.speedup(),
+                rc.full_ms, rc.dirty_ms, rc.dirty_pages, rc.speedup(),
                 rc.outcomes_match ? "" : "  OUTCOME-MISMATCH");
     if (first_app || rc.speedup() < worst) worst = rc.speedup();
     first_app = false;
     all_match = all_match && rc.outcomes_match;
-    bench::json_record("v1_restore_ms", rc.v1_ms, "ms", name);
-    bench::json_record("v2_restore_ms", rc.v2_ms, "ms", name);
+    bench::json_record("full_restore_ms", rc.full_ms, "ms", name);
+    bench::json_record("dirty_restore_ms", rc.dirty_ms, "ms", name);
     bench::json_record("restore_speedup", rc.speedup(), "x", name);
   }
 
-  std::printf("\n  acceptance: shared-baseline restore >= 5x cheaper than full v1"
-              " deserialize on every app: %s (worst %.1fx); outcome distributions"
+  std::printf("\n  acceptance: shared-baseline restore >= 5x cheaper than a full"
+              " restore on every app: %s (worst %.1fx); outcome distributions"
               " identical: %s\n",
               worst >= 5.0 ? "PASS" : "FAIL", worst, all_match ? "PASS" : "FAIL");
   const bool json_ok = bench::json_write(opt.json, "fig9_checkpoint");

@@ -45,12 +45,11 @@ int main(int argc, char** argv) {
       for (std::size_t i = 0; i < n; ++i)
         faults.push_back(campaign::random_model_fault(rng, kind, ca.kernel_fetches));
       const auto report = campaign::run_campaign(ca, faults, cfg);
-      bench::print_outcome_row(std::string("  ") + fi::fault_model_kind_name(kind),
-                               report);
+      bench::print_outcome_row(name, fi::fault_model_kind_name(kind), report);
       for (unsigned o = 0; o < apps::kNumOutcomes; ++o) total.counts[o] += report.counts[o];
       total.wall_seconds += report.wall_seconds;
     }
-    bench::print_outcome_row("  TOTAL", total);
+    bench::print_outcome_row(name, "TOTAL", total);
     std::printf("  campaign wall time: %.1f s\n\n", total.wall_seconds);
   }
   return bench::json_write(opt.json, "models_taxonomy") ? 0 : 1;

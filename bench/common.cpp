@@ -80,8 +80,10 @@ void print_outcome_legend() {
               "strict%", "correct%", "sdc%", "tmout%", "attack%", "n");
 }
 
-void print_outcome_row(const std::string& label, const campaign::CampaignReport& report) {
-  std::printf("%-22s %8.1f %8.1f %8.1f %8.1f %8.1f %8.1f %8.1f %8zu\n", label.c_str(),
+void print_outcome_row(const std::string& app, const std::string& row,
+                       const campaign::CampaignReport& report) {
+  const std::string label = app + "/" + row;
+  std::printf("  %-20s %8.1f %8.1f %8.1f %8.1f %8.1f %8.1f %8.1f %8zu\n", row.c_str(),
               100.0 * report.fraction(apps::Outcome::Crashed),
               100.0 * report.fraction(apps::Outcome::NonPropagated),
               100.0 * report.fraction(apps::Outcome::StrictlyCorrect),

@@ -67,10 +67,11 @@ struct Options {
 Options parse_options(int argc, char** argv);
 
 /// "name  12.3%  4.5% ..." row printing helpers. print_outcome_row also
-/// feeds the JSON sink, so campaign benches get machine-readable records
-/// without per-bench plumbing.
+/// feeds the JSON sink under the config key "<app>/<row>", so campaign
+/// benches get machine-readable records without per-bench plumbing.
 void print_header(const std::string& title);
-void print_outcome_row(const std::string& label, const campaign::CampaignReport& report);
+void print_outcome_row(const std::string& app, const std::string& row,
+                       const campaign::CampaignReport& report);
 void print_outcome_legend();
 
 // --- machine-readable results (--json=<path>) ---

@@ -45,9 +45,6 @@
 //             [--progress]             periodic progress lines on stderr
 //             [--deadline=<sec>]       wall-clock deadline per experiment
 //             [--retries=<k>]          retries on simulator-internal errors
-//             [--ckpt-format=v1|v2]    checkpoint encoding (default v2)
-//             [--no-ckpt-compress]     v2: store pages raw (no RLE)
-//             [--no-shared-baseline]   full blob restore per experiment
 //             [--now-local=<n>]        run the campaign through the NoW
 //                                      dispatch service with n forked
 //                                      loopback worker processes (instead of
@@ -108,8 +105,7 @@ namespace {
                "           [--no-fastpath] [--no-fastmode]\n"
                "       %s --app=<name> --campaign=<n> [--seed=<u64>] [--workers=<k>]\n"
                "           [--out=<file.jsonl>] [--progress] [--deadline=<sec>]\n"
-               "           [--retries=<k>] [--ckpt-format=v1|v2] [--no-ckpt-compress]\n"
-               "           [--no-shared-baseline] [--now-local=<n>] [--slots=<k>]\n"
+               "           [--retries=<k>] [--now-local=<n>] [--slots=<k>]\n"
                "           [--stop-ci=EPS[@CONF]] "
                "[--autoscale=MIN:MAX]\n"
                "           [--colstore=<file.gfcs>]\n"
@@ -207,9 +203,6 @@ int main(int argc, char** argv) {
   unsigned slots = 1;
   unsigned retries = 2;
   double deadline = 0.0;
-  chkpt::CheckpointFormat ckpt_format = chkpt::CheckpointFormat::V2;
-  bool ckpt_compress = true;
-  bool shared_baseline = true;
   bool predecode = true;
   bool fastpath = true;
   bool fastmode = true;
@@ -278,15 +271,6 @@ int main(int argc, char** argv) {
       out_path = arg.substr(6);
     } else if (arg == "--progress") {
       progress = true;
-    } else if (arg.rfind("--ckpt-format=", 0) == 0) {
-      const std::string fmt = arg.substr(14);
-      if (fmt == "v1") ckpt_format = chkpt::CheckpointFormat::V1;
-      else if (fmt == "v2") ckpt_format = chkpt::CheckpointFormat::V2;
-      else usage(argv[0]);
-    } else if (arg == "--no-ckpt-compress") {
-      ckpt_compress = false;
-    } else if (arg == "--no-shared-baseline") {
-      shared_baseline = false;
     } else if (arg == "--no-predecode") {
       predecode = false;
     } else if (arg == "--no-fastpath") {
@@ -345,9 +329,6 @@ int main(int argc, char** argv) {
   cfg.campaign_seed = campaign_seed;
   cfg.deadline_seconds = deadline;
   cfg.max_retries = retries;
-  cfg.ckpt_format = ckpt_format;
-  cfg.ckpt_compress = ckpt_compress;
-  cfg.shared_baseline = shared_baseline;
   cfg.predecode = predecode;
   cfg.fastpath = fastpath;
   cfg.fastmode = fastmode;
@@ -400,7 +381,8 @@ int main(int argc, char** argv) {
                (unsigned long long)ca.kernel_fetches,
                (unsigned long long)ca.golden_ticks);
   if (!ca.checkpoint.empty()) {
-    const chkpt::CheckpointStats cs = ca.checkpoint.stats();
+    const chkpt::CheckpointStats cs =
+        chkpt::CheckpointImage::parse(ca.checkpoint).stats();
     std::fprintf(stderr,
                  "checkpoint: %s, %llu/%llu pages stored (%llu RLE), "
                  "%llu -> %llu bytes (%.1fx)\n",

@@ -201,14 +201,9 @@ namespace {
 class WorkerSession {
  public:
   WorkerSession(const wire::Welcome& welcome, unsigned slots)
-      : ca_(welcome.rebuild_app()), cfg_(welcome.rebuild_config()) {
-    if (cfg_.use_checkpoint && cfg_.shared_baseline && !ca_.checkpoint.empty()) {
-      try {
-        baseline_.emplace(chkpt::CheckpointImage::parse(ca_.checkpoint));
-      } catch (const std::exception&) {
-        baseline_.reset();  // damaged: per-experiment path reports it
-      }
-    }
+      : ca_(welcome.rebuild_app()),
+        cfg_(welcome.rebuild_config()),
+        baseline_(campaign_baseline(ca_, cfg_)) {
     threads_.reserve(slots);
     for (unsigned i = 0; i < slots; ++i) threads_.emplace_back([this] { slot_main(); });
   }
@@ -261,8 +256,7 @@ class WorkerSession {
   void slot_main() {
     // One persistent Simulation per slot (the shared-baseline fast restore),
     // exactly like a local run_campaign worker thread.
-    std::optional<ExperimentWorker> ew;
-    if (baseline_) ew.emplace(ca_, *baseline_, cfg_);
+    ExperimentWorker ew(ca_, baseline_ ? &*baseline_ : nullptr, cfg_);
     for (;;) {
       std::pair<std::uint64_t, fi::Fault> item;
       {
@@ -278,8 +272,7 @@ class WorkerSession {
       try {
         const std::vector<fi::SyscallFaultPlan> plans =
             plans_for_experiment(cfg_, item.first);
-        msg.result = ew ? ew->run_with_retry(item.second, &plans)
-                        : run_experiment_with_retry(ca_, item.second, cfg_, &plans);
+        msg.result = ew.run_with_retry(item.second, &plans);
       } catch (const std::exception& e) {
         // run_with_retry contracts never to throw; belt and braces so one
         // experiment cannot take the whole worker process down.
@@ -298,7 +291,7 @@ class WorkerSession {
 
   CalibratedApp ca_;
   CampaignConfig cfg_;
-  std::optional<chkpt::CheckpointImage> baseline_;
+  const std::optional<chkpt::CheckpointImage> baseline_;
 
   std::mutex mutex_;
   std::condition_variable cv_;

@@ -141,7 +141,7 @@ CalibratedApp calibrate(apps::App app, const CampaignConfig& cfg) {
   chkpt::Checkpoint ckpt;
   std::uint64_t ticks_at_ckpt = 0;
   s.set_checkpoint_handler([&](sim::Simulation& sim) {
-    ckpt = chkpt::Checkpoint::capture(sim, {cfg.ckpt_format, cfg.ckpt_compress});
+    ckpt = chkpt::Checkpoint::capture(sim);
     ticks_at_ckpt = sim.now();
   });
 
@@ -354,7 +354,7 @@ ExperimentResult run_experiment(const CalibratedApp& ca, const fi::Fault& fault,
       execute_faulted_run(s, ca, fault, cfg, start_ticks,
                           syscall_plans ? *syscall_plans : cfg.syscall_plans);
   if (cfg.use_checkpoint) {
-    er.ckpt_version = std::uint8_t(ca.checkpoint.format());
+    er.ckpt_version = std::uint8_t(chkpt::CheckpointFormat::V2);
     er.restore_pages = s.memsys().phys().page_count();
     er.restore_bytes = ca.checkpoint.size_bytes();
   }
@@ -373,8 +373,18 @@ ExperimentResult run_experiment_with_retry(const CalibratedApp& ca, const fi::Fa
       [] {});
 }
 
+std::optional<chkpt::CheckpointImage> campaign_baseline(const CalibratedApp& ca,
+                                                        const CampaignConfig& cfg) {
+  if (!cfg.use_checkpoint || ca.checkpoint.empty()) return std::nullopt;
+  try {
+    return chkpt::CheckpointImage::parse(ca.checkpoint);
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
+}
+
 ExperimentWorker::ExperimentWorker(const CalibratedApp& ca,
-                                   const chkpt::CheckpointImage& image,
+                                   const chkpt::CheckpointImage* image,
                                    const CampaignConfig& cfg)
     : ca_(ca), image_(image), cfg_(cfg) {}
 
@@ -383,19 +393,20 @@ ExperimentWorker::~ExperimentWorker() = default;
 ExperimentResult ExperimentWorker::run_attempt(const fi::Fault& fault,
                                                const CampaignConfig& attempt_cfg,
                                                const std::vector<fi::SyscallFaultPlan>* syscall_plans) {
+  if (!image_) return run_experiment(ca_, fault, attempt_cfg, syscall_plans);
   std::uint64_t pages = 0;
   if (!sim_) {
     sim_ = std::make_unique<sim::Simulation>(make_sim_config(cfg_), ca_.app.program);
     sim_->spawn_main_thread();
-    pages = image_.restore_into(*sim_);
+    pages = image_->restore_into(*sim_);
   } else {
-    pages = image_.restore_dirty_into(*sim_);
+    pages = image_->restore_dirty_into(*sim_);
   }
 
   ExperimentResult er =
       execute_faulted_run(*sim_, ca_, fault, attempt_cfg, ca_.ticks_to_checkpoint,
                           syscall_plans ? *syscall_plans : cfg_.syscall_plans);
-  er.ckpt_version = std::uint8_t(image_.stats().format);
+  er.ckpt_version = std::uint8_t(image_->stats().format);
   er.restore_pages = pages;
   er.restore_bytes = pages * mem::PhysMem::kPageBytes;
   return er;
@@ -446,33 +457,19 @@ CampaignReport run_campaign(const CalibratedApp& ca, const std::vector<fi::Fault
   CampaignObserver* const obs = cfg.observer;
   if (obs) obs->on_campaign_begin(faults.size());
 
-  // Shared-baseline fast path: parse the checkpoint once up front; each
-  // worker keeps one Simulation alive and restores by dirty-page copy.
-  // A checkpoint that fails to parse is NOT fatal to the campaign: fall back
-  // to the per-experiment restore path, which reports the damage as a
-  // bounded per-experiment substrate failure (Crashed + sim_error).
-  std::optional<chkpt::CheckpointImage> baseline;
-  if (cfg.use_checkpoint && cfg.shared_baseline && !ca.checkpoint.empty()) {
-    try {
-      baseline.emplace(chkpt::CheckpointImage::parse(ca.checkpoint));
-    } catch (const std::exception&) {
-      baseline.reset();
-    }
-  }
+  const std::optional<chkpt::CheckpointImage> baseline = campaign_baseline(ca, cfg);
 
   const unsigned workers = cfg.workers == 0 ? 1 : cfg.workers;
   std::atomic<std::size_t> next{0};
   const auto worker = [&](unsigned worker_id) {
-    std::optional<ExperimentWorker> ew;
-    if (baseline) ew.emplace(ca, *baseline, cfg);
+    ExperimentWorker ew(ca, baseline ? &*baseline : nullptr, cfg);
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= faults.size()) return;
       // Per-experiment syscall plan synthesis: every fixed plan plus one
       // seeded draw, regenerable from (campaign_seed, i) alone for --replay.
       const std::vector<fi::SyscallFaultPlan> plans = plans_for_experiment(cfg, i);
-      ExperimentResult er = ew ? ew->run_with_retry(faults[i], &plans)
-                               : run_experiment_with_retry(ca, faults[i], cfg, &plans);
+      ExperimentResult er = ew.run_with_retry(faults[i], &plans);
       if (obs)
         obs->on_experiment(
             {i, worker_id, experiment_seed(cfg.campaign_seed, i), er});

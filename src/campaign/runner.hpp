@@ -30,18 +30,6 @@ struct CampaignConfig {
   unsigned workers = 1;                      // local experiment parallelism
   std::uint64_t watchdog_mult = 8;           // watchdog = mult * golden ticks
 
-  /// Checkpoint encoding captured at calibration. v2 (sparse, page-granular,
-  /// optionally RLE-compressed) is the default; v1 writes the legacy flat
-  /// blob for compatibility testing.
-  chkpt::CheckpointFormat ckpt_format = chkpt::CheckpointFormat::V2;
-  bool ckpt_compress = true;
-
-  /// Restore each experiment from a shared parsed baseline, copying back
-  /// only the pages the worker's previous experiment dirtied, instead of
-  /// re-deserializing the whole blob per experiment. Bit-identical to the
-  /// full restore; off only for A/B measurement (bench_fig9_checkpoint).
-  bool shared_baseline = true;
-
   /// Root seed of the campaign. Each experiment derives its own RNG stream
   /// as splitmix64(campaign_seed ^ index) (see experiment_seed()), so any
   /// single experiment can be regenerated in isolation from its telemetry
@@ -198,18 +186,28 @@ ExperimentResult run_experiment_with_retry(const CalibratedApp& ca, const fi::Fa
                                            const CampaignConfig& cfg,
                                            const std::vector<fi::SyscallFaultPlan>* syscall_plans = nullptr);
 
-/// A campaign worker's persistent experiment context for the shared-baseline
-/// fast restore path (tentpole of the v2 checkpoint format).
+/// The campaign restore policy, decided once per campaign: the checkpoint
+/// parsed into the baseline every ExperimentWorker restores from, or nullopt
+/// — no checkpoint in use, or one that fails to parse. A damaged checkpoint
+/// is not fatal to the campaign: its workers fall back to the per-experiment
+/// restore, which reports the damage as a bounded per-experiment substrate
+/// failure (Crashed + sim_error).
+std::optional<chkpt::CheckpointImage> campaign_baseline(const CalibratedApp& ca,
+                                                        const CampaignConfig& cfg);
+
+/// A campaign worker's persistent experiment context (one per thread/slot).
 ///
-/// The worker keeps one Simulation alive across experiments. The first run
-/// restores the full baseline image; every later run copies back only the
-/// pages the previous experiment dirtied (PhysMem's dirty bitmap) plus the
-/// small machine-state stream — equivalent bit-for-bit to a full restore,
-/// at a fraction of the cost. On a simulator-internal error the cached
-/// Simulation is discarded so the retry starts from a pristine full restore.
+/// With a baseline image the worker keeps one Simulation alive across
+/// experiments. The first run restores the full baseline image; every later
+/// run copies back only the pages the previous experiment dirtied (PhysMem's
+/// dirty bitmap) plus the small machine-state stream — equivalent
+/// bit-for-bit to a full restore, at a fraction of the cost. On a
+/// simulator-internal error the cached Simulation is discarded so the retry
+/// starts from a pristine full restore. With a null image every run is the
+/// isolated run_experiment path.
 class ExperimentWorker {
  public:
-  ExperimentWorker(const CalibratedApp& ca, const chkpt::CheckpointImage& image,
+  ExperimentWorker(const CalibratedApp& ca, const chkpt::CheckpointImage* image,
                    const CampaignConfig& cfg);
   ~ExperimentWorker();
 
@@ -230,7 +228,7 @@ class ExperimentWorker {
                                const std::vector<fi::SyscallFaultPlan>* syscall_plans);
 
   const CalibratedApp& ca_;
-  const chkpt::CheckpointImage& image_;
+  const chkpt::CheckpointImage* image_;   // null: per-experiment restore
   const CampaignConfig& cfg_;
   std::unique_ptr<sim::Simulation> sim_;  // null until the first run
 };

@@ -129,7 +129,6 @@ Welcome Welcome::from(const CalibratedApp& ca, const apps::AppScale& scale,
   w.predecode = cfg.predecode;
   w.fastpath = cfg.fastpath;
   w.fastmode = cfg.fastmode;
-  w.shared_baseline = cfg.shared_baseline;
   w.watchdog_mult = cfg.watchdog_mult;
   w.campaign_seed = cfg.campaign_seed;
   w.deadline_seconds = cfg.deadline_seconds;
@@ -168,7 +167,6 @@ CampaignConfig Welcome::rebuild_config() const {
   cfg.predecode = predecode;
   cfg.fastpath = fastpath;
   cfg.fastmode = fastmode;
-  cfg.shared_baseline = shared_baseline;
   cfg.watchdog_mult = watchdog_mult;
   cfg.campaign_seed = campaign_seed;
   cfg.deadline_seconds = deadline_seconds;
@@ -201,7 +199,6 @@ std::vector<std::uint8_t> encode_welcome(const Welcome& w) {
   b.put_bool(w.use_checkpoint);
   b.put_bool(w.predecode);
   b.put_bool(w.fastpath);
-  b.put_bool(w.shared_baseline);
   b.put_u64(w.watchdog_mult);
   b.put_u64(w.campaign_seed);
   b.put_f64(w.deadline_seconds);
@@ -234,7 +231,6 @@ Welcome decode_welcome(std::span<const std::uint8_t> payload) {
   w.use_checkpoint = r.get_bool();
   w.predecode = r.get_bool();
   w.fastpath = r.get_bool();
-  w.shared_baseline = r.get_bool();
   w.watchdog_mult = r.get_u64();
   w.campaign_seed = r.get_u64();
   w.deadline_seconds = r.get_f64();

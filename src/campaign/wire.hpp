@@ -24,7 +24,7 @@ namespace gemfi::campaign::wire {
 
 /// Every peer is built from this tree, so a Hello with any other version is
 /// rejected.
-inline constexpr std::uint32_t kProtocolVersion = 5;
+inline constexpr std::uint32_t kProtocolVersion = 6;
 
 enum class MsgType : std::uint8_t {
   // --- worker plane ---
@@ -87,7 +87,6 @@ struct Welcome {
   bool predecode = true;
   bool fastpath = true;
   bool fastmode = true;  // superblock golden-path tier
-  bool shared_baseline = true;
   std::uint64_t watchdog_mult = 8;
   std::uint64_t campaign_seed = 0;
   double deadline_seconds = 0.0;

@@ -14,14 +14,18 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x47464943;  // "GFIC"
 
-// v1: magic + version + u64 payload_len + u32 crc = 20 bytes. v2 headers are
-// longer, but 20 is the floor any well-formed checkpoint file must clear.
-constexpr std::size_t kMinHeaderBytes = 20;
+constexpr std::uint32_t kVersion = 2;
 
-// v2 header flag bits.
+// The CRC-guarded fixed prologue: magic, version, page size, flags (u32 each),
+// mem_bytes, mem_len (u64 each), header CRC. Any well-formed checkpoint file
+// is at least this long.
+constexpr std::size_t kPrologueBytes = 32;
+constexpr std::size_t kMinHeaderBytes = kPrologueBytes + 4;
+
+// Header flag bits. Every capture RLE-encodes the pages that shrink.
 constexpr std::uint32_t kFlagCompress = 1u << 0;
 
-// v2 per-page encodings.
+// Per-page encodings.
 constexpr std::uint8_t kPageRaw = 0;
 constexpr std::uint8_t kPageRle = 1;
 
@@ -37,21 +41,13 @@ bool all_zero(std::span<const std::uint8_t> page) {
   return true;
 }
 
-Checkpoint capture_v1(const sim::Simulation& s) {
-  util::ByteWriter payload;
-  s.serialize(payload);
+}  // namespace
 
-  util::ByteWriter out;
-  out.reserve(payload.size() + 32);
-  out.put_u32(kMagic);
-  out.put_u32(1);
-  out.put_u64(payload.size());
-  out.put_u32(util::crc32(payload.bytes()));
-  out.put_bytes(payload.bytes());
-  return Checkpoint::from_bytes(out.take());
+const char* checkpoint_format_name(CheckpointFormat f) noexcept {
+  return f == CheckpointFormat::V2 ? "v2" : "?";
 }
 
-Checkpoint capture_v2(const sim::Simulation& s, const CaptureOptions& opts) {
+Checkpoint Checkpoint::capture(const sim::Simulation& s) {
   const mem::PhysMem& phys = s.memsys().phys();
 
   // Memory section: u64 stored-page count, then per stored page
@@ -65,15 +61,13 @@ Checkpoint capture_v2(const sim::Simulation& s, const CaptureOptions& opts) {
     if (all_zero(page)) continue;
     ++stored;
     records.put_u64(i);
-    if (opts.compress) {
-      const auto enc = util::rle_compress(page);
-      if (enc.size() < page.size()) {
-        ++rle;
-        records.put_u8(kPageRle);
-        records.put_u32(std::uint32_t(enc.size()));
-        records.put_bytes(enc);
-        continue;
-      }
+    const auto enc = util::rle_compress(page);
+    if (enc.size() < page.size()) {
+      ++rle;
+      records.put_u8(kPageRle);
+      records.put_u32(std::uint32_t(enc.size()));
+      records.put_bytes(enc);
+      continue;
     }
     records.put_u8(kPageRaw);
     records.put_u32(std::uint32_t(page.size()));
@@ -91,12 +85,12 @@ Checkpoint capture_v2(const sim::Simulation& s, const CaptureOptions& opts) {
   util::ByteWriter out;
   out.reserve(mem_sec.size() + state.size() + 64);
   out.put_u32(kMagic);
-  out.put_u32(2);
+  out.put_u32(kVersion);
   out.put_u32(std::uint32_t(mem::PhysMem::kPageBytes));
-  out.put_u32(opts.compress ? kFlagCompress : 0);
+  out.put_u32(kFlagCompress);
   out.put_u64(phys.size());
   out.put_u64(mem_sec.size());
-  // CRC over the 32-byte fixed prologue: mem_bytes sizes the decoded image
+  // CRC over the fixed prologue: mem_bytes sizes the decoded image
   // allocation, so it must be validated *before* it is trusted — a bit flip
   // there would otherwise request an absurd allocation instead of a clean
   // DeserializeError.
@@ -109,131 +103,8 @@ Checkpoint capture_v2(const sim::Simulation& s, const CaptureOptions& opts) {
   return Checkpoint::from_bytes(out.take());
 }
 
-/// Validate the fixed v1/v2 prologue and return the version word.
-std::uint32_t read_version(util::ByteReader& r) {
-  if (r.get_u32() != kMagic) throw util::DeserializeError("bad checkpoint magic");
-  return r.get_u32();
-}
-
-struct V2Header {
-  std::uint32_t flags = 0;
-  std::uint64_t mem_bytes = 0;
-  std::uint64_t mem_len = 0;
-};
-
-/// Read and validate the fixed v2 prologue (reader already past
-/// magic+version). The header CRC is checked before mem_bytes or mem_len is
-/// trusted, so a damaged size field fails cleanly instead of driving a huge
-/// allocation.
-V2Header read_v2_header(util::ByteReader& r, std::span<const std::uint8_t> blob) {
-  V2Header h;
-  const std::uint32_t page_size = r.get_u32();
-  if (page_size != mem::PhysMem::kPageBytes)
-    throw util::DeserializeError("unsupported checkpoint page size");
-  h.flags = r.get_u32();
-  h.mem_bytes = r.get_u64();
-  h.mem_len = r.get_u64();
-  const std::uint32_t header_crc = r.get_u32();
-  if (util::crc32(blob.first(32)) != header_crc)
-    throw util::DeserializeError("checkpoint header CRC mismatch");
-  return h;
-}
-
-}  // namespace
-
-const char* checkpoint_format_name(CheckpointFormat f) noexcept {
-  switch (f) {
-    case CheckpointFormat::V1: return "v1";
-    case CheckpointFormat::V2: return "v2";
-  }
-  return "?";
-}
-
-Checkpoint Checkpoint::capture(const sim::Simulation& s, const CaptureOptions& opts) {
-  return opts.format == CheckpointFormat::V1 ? capture_v1(s) : capture_v2(s, opts);
-}
-
 void Checkpoint::restore_into(sim::Simulation& s) const {
-  util::ByteReader r(blob_);
-  const std::uint32_t version = read_version(r);
-  if (version == 1) {
-    const std::uint64_t len = r.get_u64();
-    const std::uint32_t crc = r.get_u32();
-    if (r.remaining() != len) throw util::DeserializeError("checkpoint payload length mismatch");
-    const auto payload = r.get_span(std::size_t(len));
-    if (util::crc32(payload) != crc) throw util::DeserializeError("checkpoint CRC mismatch");
-    util::ByteReader pr(payload);
-    s.deserialize(pr);
-    return;
-  }
-  if (version == 2) {
-    CheckpointImage::parse(*this).restore_into(s);
-    return;
-  }
-  throw util::DeserializeError("unsupported checkpoint version");
-}
-
-CheckpointFormat Checkpoint::format() const {
-  util::ByteReader r(blob_);
-  const std::uint32_t version = read_version(r);
-  if (version == 1) return CheckpointFormat::V1;
-  if (version == 2) return CheckpointFormat::V2;
-  throw util::DeserializeError("unsupported checkpoint version");
-}
-
-CheckpointStats Checkpoint::stats() const {
-  util::ByteReader r(blob_);
-  const std::uint32_t version = read_version(r);
-  CheckpointStats st;
-  st.encoded_bytes = blob_.size();
-
-  if (version == 1) {
-    st.format = CheckpointFormat::V1;
-    const std::uint64_t len = r.get_u64();
-    const std::uint32_t crc = r.get_u32();
-    if (r.remaining() != len) throw util::DeserializeError("checkpoint payload length mismatch");
-    const auto payload = r.get_span(std::size_t(len));
-    if (util::crc32(payload) != crc) throw util::DeserializeError("checkpoint CRC mismatch");
-    // Payload = u8 cpu-kind, then the length-prefixed memory blob.
-    util::ByteReader pr(payload);
-    (void)pr.get_u8();
-    st.mem_bytes = pr.get_u64();
-    if (pr.remaining() < st.mem_bytes)
-      throw util::DeserializeError("checkpoint stream truncated");
-    st.raw_bytes = len;
-    st.pages_total = (st.mem_bytes + mem::PhysMem::kPageBytes - 1) / mem::PhysMem::kPageBytes;
-    st.pages_stored = st.pages_total;  // v1 stores the image flat
-    return st;
-  }
-  if (version != 2) throw util::DeserializeError("unsupported checkpoint version");
-
-  st.format = CheckpointFormat::V2;
-  const V2Header h = read_v2_header(r, blob_);
-  st.mem_bytes = h.mem_bytes;
-  st.pages_total =
-      (st.mem_bytes + mem::PhysMem::kPageBytes - 1) / mem::PhysMem::kPageBytes;
-  const auto mem_sec = r.get_span(std::size_t(h.mem_len));
-  if (util::crc32(mem_sec) != r.get_u32())
-    throw util::DeserializeError("checkpoint memory section CRC mismatch");
-  const std::uint64_t state_len = r.get_u64();
-  const auto state_sec = r.get_span(std::size_t(state_len));
-  if (util::crc32(state_sec) != r.get_u32())
-    throw util::DeserializeError("checkpoint state section CRC mismatch");
-  if (!r.at_end()) throw util::DeserializeError("trailing bytes after checkpoint");
-  st.raw_bytes = st.mem_bytes + state_len;
-
-  // Walk the page records without decompressing.
-  util::ByteReader mr(mem_sec);
-  st.pages_stored = mr.get_u64();
-  for (std::uint64_t k = 0; k < st.pages_stored; ++k) {
-    (void)mr.get_u64();  // page index
-    const std::uint8_t enc = mr.get_u8();
-    if (enc == kPageRle) ++st.pages_rle;
-    else if (enc != kPageRaw) throw util::DeserializeError("unknown checkpoint page encoding");
-    (void)mr.get_span(mr.get_u32());
-  }
-  if (!mr.at_end()) throw util::DeserializeError("trailing bytes in checkpoint memory section");
-  return st;
+  CheckpointImage::parse(*this).restore_into(s);
 }
 
 Checkpoint Checkpoint::from_bytes(std::vector<std::uint8_t> bytes) {
@@ -286,41 +157,20 @@ CheckpointImage CheckpointImage::parse(const Checkpoint& c) {
   CheckpointImage img;
   img.stats_.encoded_bytes = c.size_bytes();
 
+  // The prologue CRC is checked before mem_bytes or mem_len is trusted, so
+  // a damaged size field fails cleanly instead of driving a huge allocation.
   util::ByteReader r(c.bytes());
-  const std::uint32_t version = read_version(r);
-
-  if (version == 1) {
-    img.stats_.format = CheckpointFormat::V1;
-    const std::uint64_t len = r.get_u64();
-    const std::uint32_t crc = r.get_u32();
-    if (r.remaining() != len) throw util::DeserializeError("checkpoint payload length mismatch");
-    const auto payload = r.get_span(std::size_t(len));
-    if (util::crc32(payload) != crc) throw util::DeserializeError("checkpoint CRC mismatch");
-    // v1 payload = [u8 cpu-kind][u64 mem_len][memory image][machine tail].
-    // Splicing out the memory blob leaves exactly the serialize_machine
-    // stream: the kind byte followed by the tail.
-    util::ByteReader pr(payload);
-    const std::uint8_t kind = pr.get_u8();
-    const std::uint64_t mem_len = pr.get_u64();
-    const auto mem = pr.get_span(std::size_t(mem_len));
-    img.mem_.assign(mem.begin(), mem.end());
-    const auto rest = pr.get_span(pr.remaining());
-    img.state_.reserve(1 + rest.size());
-    img.state_.push_back(kind);
-    img.state_.insert(img.state_.end(), rest.begin(), rest.end());
-    img.stats_.raw_bytes = len;
-    img.stats_.mem_bytes = img.mem_.size();
-    img.stats_.pages_total =
-        (img.stats_.mem_bytes + mem::PhysMem::kPageBytes - 1) / mem::PhysMem::kPageBytes;
-    img.stats_.pages_stored = img.stats_.pages_total;
-    return img;
-  }
-  if (version != 2) throw util::DeserializeError("unsupported checkpoint version");
-
-  img.stats_.format = CheckpointFormat::V2;
-  const V2Header h = read_v2_header(r, c.bytes());
-  const std::uint64_t mem_bytes = h.mem_bytes;
-  const auto mem_sec = r.get_span(std::size_t(h.mem_len));
+  if (r.get_u32() != kMagic) throw util::DeserializeError("bad checkpoint magic");
+  if (r.get_u32() != kVersion)
+    throw util::DeserializeError("unsupported checkpoint version");
+  if (r.get_u32() != mem::PhysMem::kPageBytes)
+    throw util::DeserializeError("unsupported checkpoint page size");
+  (void)r.get_u32();  // flags: the page encodings are self-describing
+  const std::uint64_t mem_bytes = r.get_u64();
+  const std::uint64_t mem_len = r.get_u64();
+  if (util::crc32(std::span(c.bytes()).first(kPrologueBytes)) != r.get_u32())
+    throw util::DeserializeError("checkpoint header CRC mismatch");
+  const auto mem_sec = r.get_span(std::size_t(mem_len));
   if (util::crc32(mem_sec) != r.get_u32())
     throw util::DeserializeError("checkpoint memory section CRC mismatch");
   const std::uint64_t state_len = r.get_u64();

@@ -8,16 +8,12 @@
 // times, each restore re-reading a different fault-configuration file, to
 // fast-forward an entire campaign past the common prefix.
 //
-// Two on-disk formats, distinguished by the version word:
-//   v1 (legacy, still loadable): magic + version + payload length +
-//      CRC32(payload) + payload, where the payload is the flat
-//      Simulation::serialize stream (memory embedded as one blob).
-//   v2 (default): page-granular memory. All-zero 4 KiB pages are skipped,
-//      stored pages are optionally RLE-compressed, and the header, memory
-//      and machine-state sections carry independent CRC32s, so a campaign can
-//      parse the memory section once into an immutable baseline
-//      (CheckpointImage) and restore each experiment by copying only the
-//      pages the previous one dirtied.
+// One on-disk format (version word 2): page-granular memory. All-zero 4 KiB
+// pages are skipped, stored pages are RLE-encoded wherever that shrinks
+// them, and the header, memory and machine-state sections carry independent
+// CRC32s. A campaign parses the checkpoint once into an immutable baseline
+// (CheckpointImage) and restores each experiment by copying only the pages
+// the previous one dirtied. Any other version word is rejected.
 //
 // Restores validate everything and throw util::DeserializeError on damage.
 #pragma once
@@ -30,19 +26,15 @@
 
 namespace gemfi::chkpt {
 
-enum class CheckpointFormat : std::uint8_t { V1 = 1, V2 = 2 };
+/// The version word of the one checkpoint format; experiment records name
+/// it as "ckpt_format".
+enum class CheckpointFormat : std::uint8_t { V2 = 2 };
 
 const char* checkpoint_format_name(CheckpointFormat f) noexcept;
 
-struct CaptureOptions {
-  CheckpointFormat format = CheckpointFormat::V2;
-  /// v2 only: RLE-encode stored pages that actually shrink.
-  bool compress = true;
-};
-
 /// How a checkpoint encodes on the wire (what a NoW workstation copies).
 struct CheckpointStats {
-  CheckpointFormat format = CheckpointFormat::V1;
+  CheckpointFormat format = CheckpointFormat::V2;
   std::uint64_t raw_bytes = 0;      // memory image + machine state, flat
   std::uint64_t encoded_bytes = 0;  // blob size actually moved/stored
   std::uint64_t mem_bytes = 0;      // guest physical memory size
@@ -56,21 +48,16 @@ class Checkpoint {
   Checkpoint() = default;
 
   /// Snapshot a (quiesced) simulation.
-  static Checkpoint capture(const sim::Simulation& s, const CaptureOptions& opts = {});
+  static Checkpoint capture(const sim::Simulation& s);
 
-  /// Restore into a simulation constructed with the same config + program.
-  /// Dispatches on the stored format version (v1 and v2 both load).
-  /// Resets fault-injection state per the paper's fi_read_init_all contract.
+  /// Full restore into a simulation constructed with the same config +
+  /// program: CheckpointImage::parse(*this).restore_into(s). Resets
+  /// fault-injection state per the paper's fi_read_init_all contract.
   void restore_into(sim::Simulation& s) const;
 
   [[nodiscard]] bool empty() const noexcept { return blob_.empty(); }
   [[nodiscard]] std::size_t size_bytes() const noexcept { return blob_.size(); }
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const noexcept { return blob_; }
-
-  /// Format of this blob (header peek; throws DeserializeError if damaged).
-  [[nodiscard]] CheckpointFormat format() const;
-  /// Encoding statistics (validates headers and CRCs along the way).
-  [[nodiscard]] CheckpointStats stats() const;
 
   /// File round-trip (the "network share" of the NoW campaign protocol).
   /// save_file writes a temp file and renames it into place, so a crashed or
@@ -97,7 +84,7 @@ class Checkpoint {
 /// of concurrent workers.
 class CheckpointImage {
  public:
-  /// Decode a v1 or v2 checkpoint; throws util::DeserializeError on damage.
+  /// Decode a checkpoint; throws util::DeserializeError on damage.
   static CheckpointImage parse(const Checkpoint& c);
 
   /// Full restore (first experiment of a worker, or a fresh simulation).

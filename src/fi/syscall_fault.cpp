@@ -23,7 +23,7 @@ constexpr std::uint64_t kPpm = 1'000'000;
 std::string ppm_to_frac(std::uint64_t ppm) {
   if (ppm == kPpm) return "1";
   if (ppm == 0) return "0";
-  char buf[16];
+  char buf[24];  // any u64 in decimal, plus the terminator
   std::snprintf(buf, sizeof buf, "%06" PRIu64, ppm);
   std::string digits = buf;
   while (digits.size() > 1 && digits.back() == '0') digits.pop_back();

@@ -143,7 +143,7 @@ class Cache {
   // Per-set index of the most-recently-used way — the way with the largest
   // `lru` among the set's valid lines (0 for an empty set). Derived state:
   // never serialized, rebuilt from the lru fields on deserialize, so the
-  // checkpoint format is unchanged and v1 images still load.
+  // checkpoint format does not depend on it.
   std::vector<std::uint32_t> mru_;
   bool mru_enabled_ = true;
   std::uint64_t use_clock_ = 0;

@@ -122,21 +122,6 @@ void MemSystem::reset_stats() noexcept {
   sbc_.reset_stats();
 }
 
-void MemSystem::serialize(util::ByteWriter& w) const {
-  phys_.serialize(w);
-  serialize_timing(w);
-}
-
-void MemSystem::deserialize(util::ByteReader& r) {
-  phys_.deserialize(r);
-  deserialize_timing(r);
-  // The predecode and superblock caches are deliberately not serialized:
-  // drop them wholesale (the version bumps from phys_.deserialize already
-  // make every cached page and trace unservable).
-  pdc_.invalidate_all();
-  sbc_.invalidate_all();
-}
-
 void MemSystem::serialize_timing(util::ByteWriter& w) const {
   l1i_.serialize(w);
   l1d_.serialize(w);

@@ -124,11 +124,8 @@ class MemSystem {
   [[nodiscard]] const CacheStats& l2_stats() const noexcept { return l2_.stats(); }
   void reset_stats() noexcept;
 
-  void serialize(util::ByteWriter& w) const;
-  void deserialize(util::ByteReader& r);
-
   /// Timing + policy state only (caches and the code-region bounds), without
-  /// the physical-memory image. The v2 checkpoint path serializes memory
+  /// the physical-memory image. The checkpoint serializes memory
   /// page-granular on its own and stores this beside it.
   void serialize_timing(util::ByteWriter& w) const;
   void deserialize_timing(util::ByteReader& r);

@@ -70,16 +70,4 @@ void PhysMem::read_block(std::uint64_t addr, std::span<std::uint8_t> out) const 
   std::memcpy(out.data(), bytes_.data() + addr, out.size());
 }
 
-void PhysMem::serialize(util::ByteWriter& w) const { w.put_blob(bytes_); }
-
-void PhysMem::deserialize(util::ByteReader& r) {
-  auto blob = r.get_blob();
-  if (blob.size() != bytes_.size())
-    throw util::DeserializeError("checkpoint memory size mismatch");
-  bytes_ = std::move(blob);
-  // The whole image changed relative to whatever baseline the caller tracked;
-  // only copy_from() (a full baseline write) may clear the bitmap.
-  mark_all_dirty();
-}
-
 }  // namespace gemfi::mem

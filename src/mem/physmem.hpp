@@ -75,7 +75,7 @@ class PhysMem {
 
   // --- page mutation versions (predecode-cache coherence) ---
   // A monotonic per-page counter bumped by every mutation of the page:
-  // store(), write_block(), copy_from(), deserialize(), mark_all_dirty().
+  // store(), write_block(), copy_from(), mark_all_dirty().
   // Consumers (the predecoded-instruction cache) tag derived state with the
   // version it was computed at and treat any mismatch as stale, so code
   // rewritten by a store or a checkpoint restore is never served from a
@@ -101,9 +101,6 @@ class PhysMem {
   /// Bulk copy used by program loading; caller guarantees bounds.
   void write_block(std::uint64_t addr, std::span<const std::uint8_t> data);
   void read_block(std::uint64_t addr, std::span<std::uint8_t> out) const;
-
-  void serialize(util::ByteWriter& w) const;
-  void deserialize(util::ByteReader& r);
 
  private:
   static constexpr std::uint64_t page_count_of(std::uint64_t bytes) noexcept {

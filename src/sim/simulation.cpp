@@ -545,7 +545,9 @@ std::string Simulation::stats_report() const {
   return out;
 }
 
-void Simulation::serialize_tail(util::ByteWriter& w) const {
+void Simulation::serialize_machine(util::ByteWriter& w) const {
+  w.put_u8(std::uint8_t(active_cpu_));
+  ms_.serialize_timing(w);
   cpu_->serialize(w);
   sched_.serialize(w);
   sys_.serialize(w);
@@ -554,7 +556,12 @@ void Simulation::serialize_tail(util::ByteWriter& w) const {
   w.put_bool(mode_switch_done_);
 }
 
-void Simulation::deserialize_tail(util::ByteReader& r) {
+void Simulation::deserialize_machine(util::ByteReader& r) {
+  const std::uint8_t kind = r.get_u8();
+  if (kind > std::uint8_t(CpuKind::Pipelined))
+    throw util::DeserializeError("unknown checkpoint CPU kind");
+  if (CpuKind(kind) != active_cpu_) make_cpu(CpuKind(kind));
+  ms_.deserialize_timing(r);
   cpu_->deserialize(r);
   sched_.deserialize(r);
   sys_.deserialize(r);
@@ -570,32 +577,6 @@ void Simulation::deserialize_tail(util::ByteReader& r) {
   fm_.reset_campaign_state();
   sysfi_.reset_applied();
   fm_.set_now(tick_);
-}
-
-void Simulation::serialize(util::ByteWriter& w) const {
-  w.put_u8(std::uint8_t(active_cpu_));
-  ms_.serialize(w);
-  serialize_tail(w);
-}
-
-void Simulation::deserialize(util::ByteReader& r) {
-  const auto kind = static_cast<CpuKind>(r.get_u8());
-  if (kind != active_cpu_) make_cpu(kind);
-  ms_.deserialize(r);
-  deserialize_tail(r);
-}
-
-void Simulation::serialize_machine(util::ByteWriter& w) const {
-  w.put_u8(std::uint8_t(active_cpu_));
-  ms_.serialize_timing(w);
-  serialize_tail(w);
-}
-
-void Simulation::deserialize_machine(util::ByteReader& r) {
-  const auto kind = static_cast<CpuKind>(r.get_u8());
-  if (kind != active_cpu_) make_cpu(kind);
-  ms_.deserialize_timing(r);
-  deserialize_tail(r);
 }
 
 }  // namespace gemfi::sim

@@ -158,25 +158,19 @@ class Simulation {
   [[nodiscard]] std::string stats_report() const;
 
   // --- checkpoint plumbing (used by chkpt::Checkpoint) ---
-  /// Serialize full machine state. Requires a quiesced pipeline; run() only
-  /// invokes the checkpoint handler at such a boundary.
-  void serialize(util::ByteWriter& w) const;
-  /// Restore machine state. Fault-injection state is deliberately NOT part
-  /// of a checkpoint: per the paper, a restore re-arms the FaultManager so
-  /// one checkpoint can seed many differently-configured experiments.
-  void deserialize(util::ByteReader& r);
-
   /// Machine state *minus* the physical-memory image: CPU kind, cache/timing
-  /// state, CPU, scheduler and simulation counters. The v2 checkpoint format
-  /// stores this as its own CRC-guarded section beside the page-granular
-  /// memory section; restore semantics match deserialize() (FI state is
-  /// re-armed). Callers restore memory separately.
+  /// state, CPU, scheduler and simulation counters. The checkpoint stores
+  /// this as its own CRC-guarded section beside the page-granular memory
+  /// section; callers restore memory separately. Requires a quiesced
+  /// pipeline; run() only invokes the checkpoint handler at such a boundary.
   void serialize_machine(util::ByteWriter& w) const;
+  /// Restore machine state; throws util::DeserializeError on an unknown CPU
+  /// kind. Fault-injection state is deliberately NOT part of a checkpoint:
+  /// per the paper, a restore re-arms the FaultManager so one checkpoint can
+  /// seed many differently-configured experiments.
   void deserialize_machine(util::ByteReader& r);
 
  private:
-  void serialize_tail(util::ByteWriter& w) const;
-  void deserialize_tail(util::ByteReader& r);
   void dispatch_pseudo(const cpu::CommitEvent& ev);
   void dispatch_syscall(os::Thread& t);
   void make_cpu(CpuKind kind);

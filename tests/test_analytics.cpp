@@ -168,13 +168,18 @@ TEST(Aggregator, StopPrefixIsFrozenAtFirstSatisfyingK) {
   const std::size_t n = 400;
   const campaign::StopPolicy policy{0.05, 0.95};
   campaign::Aggregator agg(policy, n);
+  std::size_t fired_count = 0;
   for (std::size_t i = 0; i < n; ++i) {
+    const bool was_stopped = agg.should_stop();
     const bool fired = agg.add(
         make_rec(i, i % 10 == 0 ? apps::Outcome::SDC : apps::Outcome::NonPropagated));
-    if (agg.should_stop() && !fired)
+    if (was_stopped) {
       EXPECT_FALSE(fired) << "add() must return false while draining";
+    }
+    fired_count += fired ? 1 : 0;
   }
   ASSERT_TRUE(agg.should_stop());
+  EXPECT_EQ(fired_count, 1u) << "exactly one add() satisfies the stop rule";
   std::uint64_t prefix_total = 0;
   for (const auto c : agg.prefix_counts()) prefix_total += c;
   EXPECT_EQ(prefix_total, agg.stop_index());

@@ -50,10 +50,16 @@ TEST(RandomFaults, RespectLocationAndRanges) {
     EXPECT_LE(f.time, 1000u);
     EXPECT_EQ(f.occurrences, 1u);
     EXPECT_EQ(f.behavior, fi::FaultBehavior::Flip);
-    if (f.location == fi::FaultLocation::IntReg || f.location == fi::FaultLocation::FpReg)
+    if (f.location == fi::FaultLocation::IntReg ||
+        f.location == fi::FaultLocation::FpReg) {
       EXPECT_LT(f.reg, 32u);
-    if (f.location == fi::FaultLocation::Fetch) EXPECT_LT(f.operand, 32u);
-    if (f.location == fi::FaultLocation::Decode) EXPECT_LT(f.operand, 5u);
+    }
+    if (f.location == fi::FaultLocation::Fetch) {
+      EXPECT_LT(f.operand, 32u);
+    }
+    if (f.location == fi::FaultLocation::Decode) {
+      EXPECT_LT(f.operand, 5u);
+    }
   }
 }
 
@@ -129,22 +135,17 @@ TEST(Campaigns, DeterministicGivenSameFaults) {
 
 TEST(Campaigns, SharedBaselineMatchesFullRestoreOutcomes) {
   // The dirty-page fast restore must be invisible in campaign results: same
-  // faults, same outcomes, experiment by experiment.
-  const auto ca = campaign::calibrate(apps::build_app("jacobi"), quick_config());
+  // faults, same outcomes, experiment by experiment, as the isolated full
+  // restore of run_experiment_with_retry.
+  const auto cfg = quick_config();
+  const auto ca = campaign::calibrate(apps::build_app("jacobi"), cfg);
   const auto faults = campaign::seeded_fault_set(21, 24, ca.kernel_fetches);
 
-  auto shared_cfg = quick_config();
-  shared_cfg.shared_baseline = true;
-  auto full_cfg = quick_config();
-  full_cfg.shared_baseline = false;
-
-  const auto shared = campaign::run_campaign(ca, faults, shared_cfg);
-  const auto full = campaign::run_campaign(ca, faults, full_cfg);
+  const auto shared = campaign::run_campaign(ca, faults, cfg);
   for (std::size_t i = 0; i < faults.size(); ++i) {
-    EXPECT_EQ(shared.results[i].classification.outcome,
-              full.results[i].classification.outcome)
-        << i;
-    EXPECT_EQ(shared.results[i].sim_ticks, full.results[i].sim_ticks) << i;
+    const auto full = campaign::run_experiment_with_retry(ca, faults[i], cfg);
+    EXPECT_EQ(shared.results[i].classification.outcome, full.classification.outcome) << i;
+    EXPECT_EQ(shared.results[i].sim_ticks, full.sim_ticks) << i;
   }
 }
 
@@ -154,7 +155,7 @@ TEST(Experiments, WorkerDirtyRestoreMatchesPerExperimentRestore) {
   const auto faults = campaign::seeded_fault_set(5, 6, ca.kernel_fetches);
 
   const auto image = chkpt::CheckpointImage::parse(ca.checkpoint);
-  campaign::ExperimentWorker worker(ca, image, cfg);
+  campaign::ExperimentWorker worker(ca, &image, cfg);
   for (const auto& f : faults) {
     const auto from_worker = worker.run(f);
     const auto standalone = campaign::run_experiment(ca, f, cfg);

