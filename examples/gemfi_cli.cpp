@@ -32,8 +32,8 @@
 //                                      batched TimingSimple loop)
 //             [--no-fastmode]          disable the golden-path superblock
 //                                      tier (threaded-code traces on the
-//                                      atomic model while the fault manager
-//                                      is quiescent); the A/B baseline
+//                                      atomic model up to the fault
+//                                      horizon); the A/B baseline
 //   gemfi_cli --app=<name> --campaign=<n>   seeded random-fault campaign
 //             [--seed=<u64>]           campaign seed (default 42)
 //             [--random-syscall-faults] additionally arm one seeded random

@@ -1,5 +1,6 @@
 #include "campaign/dispatch.hpp"
 
+#include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -252,6 +253,10 @@ class WorkerSession {
     return busy_.load(std::memory_order_relaxed);
   }
 
+  /// Readable once a slot has pushed a result since the last drain.
+  [[nodiscard]] int results_fd() const noexcept { return results_ready_.read_fd(); }
+  void drain_results_fd() noexcept { results_ready_.drain(); }
+
  private:
   void slot_main() {
     // One persistent Simulation per slot (the shared-baseline fast restore),
@@ -286,6 +291,7 @@ class WorkerSession {
         std::lock_guard lock(mutex_);
         out_.push_back(std::move(msg));
       }
+      results_ready_.notify();
     }
   }
 
@@ -299,6 +305,7 @@ class WorkerSession {
   std::deque<std::pair<std::uint64_t, fi::Fault>> in_;
   std::deque<wire::ResultMsg> out_;
   std::atomic<unsigned> busy_{0};
+  net::SelfPipe results_ready_;
 
   std::vector<std::thread> threads_;
 };
@@ -368,10 +375,11 @@ SessionEnd serve_connection(net::TcpConn& conn, const WorkerConfig& wcfg) {
     }
     if (shutdown) break;
 
+    session.drain_results_fd();
     for (const wire::ResultMsg& msg : session.take_results())
       conn.send_all(frame_for(wire::MsgType::Result, wire::encode_result(msg)));
 
-    const double now = mono_seconds();
+    double now = mono_seconds();
     if (now - last_heartbeat >= wcfg.heartbeat_interval_s) {
       last_heartbeat = now;
       conn.send_all(frame_for(
@@ -379,7 +387,13 @@ SessionEnd serve_connection(net::TcpConn& conn, const WorkerConfig& wcfg) {
           wire::encode_heartbeat({heartbeat_seq++, session.busy_slots()})));
     }
 
-    if (!conn.wait_readable(0.02)) continue;
+    // Sleep until the master sends, a slot finishes an experiment (its
+    // result leaves on the next pass), or the next heartbeat is due.
+    now = mono_seconds();
+    const double wait_s = std::max(0.0, last_heartbeat + wcfg.heartbeat_interval_s - now);
+    pollfd fds[2] = {{conn.fd(), POLLIN, 0}, {session.results_fd(), POLLIN, 0}};
+    ::poll(fds, 2, int(wait_s * 1000.0) + 1);
+    if ((fds[0].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
     const auto got = conn.recv_some(buf);
     if (!got) return SessionEnd::ConnectionLost;
     reader.feed(std::span<const std::uint8_t>(buf, *got));

@@ -106,8 +106,7 @@ void SimpleCpu::make_stop_event(CommitEvent& ev, const isa::Decoded* d, std::uin
   ev.is_pseudo = is_pseudo;
 }
 
-bool SimpleCpu::atomic_batch_step(BatchResult& br, CommitEvent& ev) {
-  ++br.ticks;
+bool SimpleCpu::atomic_batch_step(BatchResult& br, CommitEvent& ev, std::uint64_t watch) {
   const std::uint64_t pc = arch_.pc();
   const isa::Decoded* d = ms_.predecode(pc);
   isa::Decoded live;
@@ -117,6 +116,7 @@ bool SimpleCpu::atomic_batch_step(BatchResult& br, CommitEvent& ev) {
     std::uint32_t word = 0;
     const mem::AccessError fe = ms_.fetch(pc, word);
     if (fe != mem::AccessError::None) {
+      ++br.ticks;
       make_stop_event(ev, nullptr, pc, {TrapKind::FetchFault, fe, pc}, false);
       br.stopped = true;
       return false;
@@ -124,6 +124,8 @@ bool SimpleCpu::atomic_batch_step(BatchResult& br, CommitEvent& ev) {
     live = isa::decode(word);
     d = &live;
   }
+  if ((d->watch_mask() & watch) != 0) return false;
+  ++br.ticks;
   const Operands ops = read_operands(*d, arch_);
   ExecOut out = execute(*d, ops, pc);
   if (out.trap.pending()) {
@@ -153,7 +155,7 @@ BatchResult SimpleCpu::run_atomic_batch(std::uint64_t max_ticks, CommitEvent& ev
   BatchResult br;
   if (timing_ || hooks_ != nullptr || !fetch_enabled_ || busy_ != 0 || pending_) return br;
   while (br.ticks < max_ticks)
-    if (!atomic_batch_step(br, ev)) break;
+    if (!atomic_batch_step(br, ev, 0)) break;
   stats_.ticks += br.ticks;
   stats_.fetched += br.ticks;
   stats_.committed += br.commits;

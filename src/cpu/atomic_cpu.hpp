@@ -15,6 +15,7 @@ namespace gemfi::cpu {
 struct BatchResult {
   std::uint64_t ticks = 0;    // instruction attempts (commits, +1 if trapped)
   std::uint64_t commits = 0;  // instructions that architecturally committed
+  std::uint64_t traced = 0;   // of those, retired inside superblock traces
   bool stopped = false;       // the out-param event holds a trap or pseudo-op
 };
 
@@ -58,11 +59,14 @@ class SimpleCpu final : public CpuModel {
   /// and leaves the architectural PC at the trapping instruction.
   ///
   /// The tier itself never calls stage hooks: the caller (Simulation::run)
-  /// may only dispatch here while the fault manager is provably quiescent
-  /// and owns the bulk FI fetch-window accounting for the batch. Only
-  /// engages in atomic mode with fetch enabled; otherwise returns an empty
-  /// result.
-  BatchResult run_trace_batch(std::uint64_t max_ticks, CommitEvent& ev);
+  /// bounds `max_ticks` by the fault manager's horizon and owns the bulk FI
+  /// fetch-window accounting for the batch. `watch` is a
+  /// Decoded::watch_mask() set (FaultManager::FastmodeBound::watch): the
+  /// batch ends, unstopped, in front of the first instruction touching it,
+  /// so the interpreter's hooks see that instruction. Only engages in atomic
+  /// mode with fetch enabled; otherwise returns an empty result.
+  BatchResult run_trace_batch(std::uint64_t max_ticks, CommitEvent& ev,
+                              std::uint64_t watch);
 
   /// Timing mode spends busy_ ticks idling per instruction; all but the
   /// last (which surfaces the queued commit) are warpable.
@@ -95,8 +99,9 @@ class SimpleCpu final : public CpuModel {
                               const TrapInfo& trap, bool is_pseudo) noexcept;
   /// One hookless interpreter step inside a batch: counts the tick and the
   /// commit in `br`, and on a trap/pseudo-op fills `ev`, sets br.stopped and
-  /// returns false.
-  bool atomic_batch_step(BatchResult& br, CommitEvent& ev);
+  /// returns false. Also returns false, without executing or counting, when
+  /// the instruction touches the Decoded::watch_mask() set `watch`.
+  bool atomic_batch_step(BatchResult& br, CommitEvent& ev, std::uint64_t watch);
 
   bool timing_;
   bool fetch_enabled_ = true;

@@ -17,6 +17,8 @@
 //   * trap            -> stop event via make_stop_event (shared boundary)
 //   * pseudo/PAL      -> never lowered; the interpreter fallback step stops
 //   * budget          -> PC parked at the first unexecuted op
+//   * watch set       -> PC parked at the first op touching `watch`; the
+//                        interpreter retires it with hooks
 //   * store into a    -> side exit after the store commits (the trace just
 //     guard page         invalidated itself; the outer loop rebuilds)
 //   * taken branch    -> loop back to the entry without re-lookup, or
@@ -29,7 +31,8 @@
 
 namespace gemfi::cpu {
 
-BatchResult SimpleCpu::run_trace_batch(std::uint64_t max_ticks, CommitEvent& ev) {
+BatchResult SimpleCpu::run_trace_batch(std::uint64_t max_ticks, CommitEvent& ev,
+                                       std::uint64_t watch) {
   using isa::SbKind;
   using isa::SbOp;
   namespace A = alu;
@@ -48,8 +51,6 @@ BatchResult SimpleCpu::run_trace_batch(std::uint64_t max_ticks, CommitEvent& ev)
   const auto wrf = [&](std::uint8_t dst, std::uint64_t v) noexcept {
     if (dst != 31) F[dst] = v;
   };
-  std::uint64_t traced = 0;
-
   while (br.ticks < max_ticks && !br.stopped) {
     const std::uint64_t entry = arch_.pc();
     const isa::Superblock* sb = ms_.superblock(entry);
@@ -57,17 +58,23 @@ BatchResult SimpleCpu::run_trace_batch(std::uint64_t max_ticks, CommitEvent& ev)
       // Entry not traceable (pseudo-op, PAL, illegal word, bad PC, tier
       // disabled): one interpreter step through the shared batch-step path,
       // which owns the exact trap/pseudo stop semantics.
-      if (!atomic_batch_step(br, ev)) break;
+      if (!atomic_batch_step(br, ev, watch)) break;
       continue;
     }
 
     const SbOp* const ops = sb->ops.data();
     const std::size_t nops = sb->ops.size();
+    // Ops from `end` on are out of reach: op `end` touches the watch set.
+    std::size_t end = nops;
+    if ((sb->watch_union & watch) != 0) {
+      end = 0;
+      while ((sb->watch_masks[end] & watch) == 0) ++end;
+    }
     const std::uint64_t commits_in = br.commits;
     std::uint64_t pc = entry;
     std::size_t i = 0;
     bool leave = false;  // side exit: stop this trace but keep batching
-    while (!leave && i < nops && br.ticks < max_ticks) {
+    while (!leave && i < end && br.ticks < max_ticks) {
       const SbOp& op = ops[i];
       ++br.ticks;
       std::uint64_t next = pc + 4;
@@ -383,14 +390,15 @@ BatchResult SimpleCpu::run_trace_batch(std::uint64_t max_ticks, CommitEvent& ev)
       }
       ++i;
     }
-    traced += br.commits - commits_in;
+    br.traced += br.commits - commits_in;
     arch_.set_pc(pc);
+    if (i == end && end < nops) break;  // the interpreter takes op `end`
   }
 
   stats_.ticks += br.ticks;
   stats_.fetched += br.ticks;
   stats_.committed += br.commits;
-  if (traced != 0) ms_.note_superblock_exec(traced);
+  if (br.traced != 0) ms_.note_superblock_exec(br.traced);
   return br;
 }
 

@@ -468,38 +468,42 @@ bool FaultManager::safe_to_switch_cpu() const noexcept {
   return true;
 }
 
-bool FaultManager::fastmode_quiescent() const noexcept {
+FaultManager::FastmodeBound FaultManager::fastmode_horizon(
+    std::uint64_t now) const noexcept {
+  FastmodeBound bound;
   for (const FaultState& fs : states_) {
     const Fault& f = fs.fault;
-    // (a) In-window with a live fault: on_fetch/stage/mem triggers and
-    // apply_direct_faults all require cur_ != nullptr, so out of the window
-    // nothing can fire — but inside it, any fault with occurrences left
-    // could trigger at some fetch index or tick inside the batch.
-    const bool live = f.occurrences == kPermanent || fs.applied < f.occurrences;
-    if (cur_ != nullptr && live) return false;
-    if (fs.applied == 0) continue;  // on_commit skips un-applied faults
-    switch (f.location) {
-      case FaultLocation::Fetch:
-      case FaultLocation::Decode:
-      case FaultLocation::Execute:
-      case FaultLocation::LoadStore:
-      case FaultLocation::Skip:
-      case FaultLocation::Opcode:
-        // (b) The affected instruction has not committed or squashed yet:
-        // on_commit would latch `consumed` when its fi_seq retires.
-        if (!fs.consumed && !fs.squashed) return false;
-        break;
-      case FaultLocation::IntReg:
-      case FaultLocation::FpReg:
-        // (c) Commit-side read/overwrite propagation tracking runs on every
-        // commit regardless of the FI window; pending until one resolves it.
-        if (!fs.consumed && !fs.overwritten) return false;
-        break;
-      case FaultLocation::PC:
-        break;  // consumed at injection; rule (a) is the only gate
+    const bool fp = f.location == FaultLocation::FpReg;
+    const bool reg = fp || f.location == FaultLocation::IntReg;
+    const bool direct = reg || f.location == FaultLocation::PC;
+    if (fs.applied != 0 && !fs.consumed) {
+      if (!direct && !fs.squashed) return {0, 0};
+      if (reg && !fs.overwritten) bound.watch |= 1ull << (f.reg + (fp ? 32 : 0));
     }
+    const bool live = f.occurrences == kPermanent || fs.applied < f.occurrences;
+    if (cur_ == nullptr || !live || f.thread_id != cur_->user_id || f.core != core_id_)
+      continue;
+    std::uint64_t room = 0;
+    if (f.time_kind == FaultTimeKind::Tick) {
+      const std::uint64_t due = sat_add(cur_->activation_tick, f.time);
+      if (due > now + 1) room = due - now - 1;
+    } else {
+      const std::uint64_t seen = cur_->fetched + (direct ? 0 : 1);
+      if (seen < f.time) {
+        room = f.time - seen;
+      } else if (f.location != FaultLocation::LoadStore && !f.has_pc_window() &&
+                 f.occurrences != kPermanent && seen >= sat_add(f.time, f.occurrences)) {
+        continue;  // the trigger window closed without the fault firing
+      }
+    }
+    if (room == 0 && f.location == FaultLocation::LoadStore) {
+      bound.watch |= isa::kWatchMemAccess;  // fires on the next transaction
+      continue;
+    }
+    if (room == 0) return {0, 0};
+    bound.insts = std::min(bound.insts, room);
   }
-  return true;
+  return bound;
 }
 
 }  // namespace gemfi::fi

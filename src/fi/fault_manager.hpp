@@ -142,18 +142,36 @@ class FaultManager final : public cpu::StageHooks {
   /// the simulation may switch from the detailed to the atomic CPU model.
   [[nodiscard]] bool safe_to_switch_cpu() const noexcept;
 
-  /// True when skipping every per-instruction hook over a whole batch is
-  /// provably unobservable — the gate for the superblock fast tier while FI
-  /// is compiled in. Quiescence fails if (a) the running thread is inside an
-  /// FI window and *any* configured fault is still live (it could trigger at
-  /// any fetch index or tick inside the batch), or if commit-side propagation
-  /// tracking is still pending: (b) an applied stage fault not yet consumed
-  /// or squashed, (c) an applied register fault not yet consumed or
-  /// overwritten (that tracking runs on every commit, even outside the FI
-  /// window). PC faults are consumed at injection, so only rule (a) can hold
-  /// them. The caller still owns bulk fetch-window accounting
-  /// (add_window_fetches) for any batch it runs under this gate.
-  [[nodiscard]] bool fastmode_quiescent() const noexcept;
+  /// Fault horizon: how far a hook-free batch starting after tick `now` may
+  /// run before any hook could act — the bound of the superblock tier while
+  /// FI is compiled in. Each instruction of an atomic batch is one fetch and
+  /// one tick, so every trigger is exact in batch instructions:
+  ///   * Inst:N stage and memory faults test the index the next fetch takes
+  ///     (fetched + 1), register/PC faults the index before it (fetched);
+  ///     the batch stops one instruction short of index N, and a finite
+  ///     trigger window that has already passed imposes no bound;
+  ///   * Tick:N faults of any location trigger on the first tick at or after
+  ///     activation + N, so the batch stops on the tick before it.
+  /// Once triggered, a live fault (occurrences left) pins `insts` at 0: the
+  /// interpreter runs every instruction it might hit — the firing
+  /// instruction of a transient fault, the whole active window of a
+  /// duty-cycled, PC-windowed, intermittent or permanent one. A triggered
+  /// load/store fault instead adds kWatchMemAccess to `watch`: it fires on
+  /// the next memory transaction, and a batch stops in front of every one.
+  /// Faults of another thread or core, and everything outside an FI window,
+  /// impose no bound: activation and context switches are batch boundaries.
+  /// After an application, commit-side propagation tracking must see the
+  /// right commits: an applied stage fault whose instruction has neither
+  /// committed nor squashed pins `insts` at 0, and the register of an
+  /// applied register fault not yet read or overwritten joins `watch` (that
+  /// tracking runs on every commit, in or out of an FI window). The caller
+  /// still owns bulk fetch-window accounting (add_window_fetches) for any
+  /// batch it runs under this bound.
+  struct FastmodeBound {
+    std::uint64_t insts = ~0ull;  // instructions before a trigger; 0: interpreter
+    std::uint64_t watch = 0;      // isa::Decoded::watch_mask() bits to stop at
+  };
+  [[nodiscard]] FastmodeBound fastmode_horizon(std::uint64_t now) const noexcept;
 
   /// Bulk equivalent of the per-fetch `++cur_->fetched` bookkeeping for a
   /// hook-free batch of `n` fetches, keeping calibration's fetched-index

@@ -68,7 +68,25 @@ struct Decoded {
   }
   /// Byte width of the memory access (4 or 8); 0 for non-memory instructions.
   [[nodiscard]] unsigned mem_bytes() const noexcept;
+
+  /// What a fault hook could observe this instruction touch: bit r for
+  /// integer register r and bit 32 + r for FP register r named as a source
+  /// or the destination ("none" sets nothing), plus kWatchMemAccess for a
+  /// load or store.
+  [[nodiscard]] std::uint64_t watch_mask() const noexcept;
 };
+
+/// The watch_mask() bit of loads and stores. Bit 31 is otherwise unused:
+/// integer register 31 is the zero register, which decodes as "none".
+inline constexpr std::uint64_t kWatchMemAccess = 1ull << 31;
+
+inline std::uint64_t Decoded::watch_mask() const noexcept {
+  const auto bit = [](std::uint8_t r, bool fp) noexcept -> std::uint64_t {
+    return r < 32 ? 1ull << (r + (fp ? 32 : 0)) : 0;
+  };
+  return bit(src1, src1_fp) | bit(src2, src2_fp) | bit(dst, dst_fp) |
+         (is_mem_access() ? kWatchMemAccess : 0);
+}
 
 /// Decode one instruction word. Never throws; inspect `.valid`.
 Decoded decode(Word w) noexcept;

@@ -17,10 +17,13 @@
 // forget. Traces are never serialized.
 //
 // Fault-injection contract: the tier carries no FI hooks at all. The caller
-// (Simulation::run) may only dispatch into trace execution while the fault
-// manager is provably quiescent — no armed fault can observe or perturb an
-// instruction in the batch — and must fall back to the interpreter
-// otherwise. Lowered semantics are shared with the interpreter via
+// (Simulation::run) bounds each batch by the fault manager's horizon — the
+// number of instructions before any armed fault could trigger — and passes a
+// watch set: registers whose corruption still awaits a read or an overwrite,
+// and memory accesses while an armed load/store fault waits for its next
+// transaction. The executor stops in front of any instruction touching the
+// watch set, so the interpreter runs exactly the instructions a hook could
+// observe. Lowered semantics are shared with the interpreter via
 // cpu/exec_units.hpp, keeping one source of truth.
 #pragma once
 
@@ -102,6 +105,10 @@ struct SuperblockStats {
 struct Superblock {
   std::uint64_t entry_pc = 0;
   std::vector<SbOp> ops;  // empty => negative entry: entry not traceable
+  // Decoded::watch_mask() of each op, and their union: the executor stops
+  // in front of the first op touching a watched resource (run_trace_batch).
+  std::vector<std::uint64_t> watch_masks;
+  std::uint64_t watch_union = 0;
   std::uint64_t pages[2] = {0, 0};
   std::uint64_t versions[2] = {0, 0};
   unsigned npages = 0;

@@ -89,6 +89,8 @@ const isa::Superblock* MemSystem::superblock(std::uint64_t pc) {
     const isa::Lowered l = isa::lower_to_sbop(*d, op);
     if (l == isa::Lowered::No) break;
     nsb.ops.push_back(op);
+    nsb.watch_masks.push_back(d->watch_mask());
+    nsb.watch_union |= d->watch_mask();
     if (l == isa::Lowered::Terminal) break;
     p += 4;
   }

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -35,27 +36,28 @@ class PhysMem {
   static constexpr std::uint64_t kPageBytes = 4096;
   static constexpr unsigned kPageShift = 12;
 
-  explicit PhysMem(std::uint64_t size_bytes)
-      : bytes_(size_bytes, 0),
-        dirty_((page_count_of(size_bytes) + 63) / 64, 0),
-        versions_(page_count_of(size_bytes), 0) {}
+  /// Zero-filled memory of `size_bytes`. The storage is a private anonymous
+  /// mapping, so a page the guest never writes never becomes resident.
+  explicit PhysMem(std::uint64_t size_bytes);
 
-  [[nodiscard]] std::uint64_t size() const noexcept { return bytes_.size(); }
+  [[nodiscard]] std::uint64_t size() const noexcept { return size_; }
 
   /// Raw unchecked view for loaders and checkpointing. Writes through the
   /// mutable span bypass dirty tracking; callers must clear_dirty() or
   /// mark_all_dirty() afterwards as appropriate (the checkpoint restore
   /// paths do).
-  [[nodiscard]] std::span<const std::uint8_t> raw() const noexcept { return bytes_; }
-  [[nodiscard]] std::span<std::uint8_t> raw() noexcept { return bytes_; }
+  [[nodiscard]] std::span<const std::uint8_t> raw() const noexcept {
+    return {bytes_.get(), std::size_t(size_)};
+  }
+  [[nodiscard]] std::span<std::uint8_t> raw() noexcept {
+    return {bytes_.get(), std::size_t(size_)};
+  }
 
   // --- page-granular view (4 KiB; the last page may be partial) ---
-  [[nodiscard]] std::uint64_t page_count() const noexcept {
-    return page_count_of(bytes_.size());
-  }
+  [[nodiscard]] std::uint64_t page_count() const noexcept { return page_count_of(size_); }
   [[nodiscard]] std::span<const std::uint8_t> page(std::uint64_t i) const noexcept {
     const std::uint64_t base = i << kPageShift;
-    return {bytes_.data() + base, std::size_t(std::min(kPageBytes, bytes_.size() - base))};
+    return {bytes_.get() + base, std::size_t(std::min(kPageBytes, size_ - base))};
   }
 
   // --- dirty-page bitmap (pages mutated since the last clear_dirty()) ---
@@ -70,7 +72,8 @@ class PhysMem {
   void mark_all_dirty() noexcept;
 
   /// Replace the whole image (sizes must match) and clear the dirty bitmap:
-  /// memory is now exactly the image it was copied from.
+  /// memory is now exactly the image it was copied from. Pages zero in both
+  /// are left untouched, so they stay non-resident.
   void copy_from(std::span<const std::uint8_t> image);
 
   // --- page mutation versions (predecode-cache coherence) ---
@@ -90,7 +93,7 @@ class PhysMem {
   }
 
   [[nodiscard]] bool in_bounds(std::uint64_t addr, std::uint64_t n) const noexcept {
-    return addr <= bytes_.size() && n <= bytes_.size() - addr;
+    return addr <= size_ && n <= size_ - addr;
   }
 
   // Checked typed accessors. On error the out-parameter is untouched and the
@@ -123,7 +126,12 @@ class PhysMem {
     for (std::uint64_t& v : versions_) ++v;
   }
 
-  std::vector<std::uint8_t> bytes_;
+  struct Unmap {
+    std::uint64_t bytes;
+    void operator()(std::uint8_t* p) const noexcept;
+  };
+  std::uint64_t size_;
+  std::unique_ptr<std::uint8_t, Unmap> bytes_;
   std::vector<std::uint64_t> dirty_;  // bit per page, see page_dirty()
   std::vector<std::uint64_t> versions_;  // per-page mutation counters
 };

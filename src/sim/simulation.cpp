@@ -201,6 +201,57 @@ void Simulation::service_wakeups() {
   }
 }
 
+void Simulation::leave_finished_thread() {
+  if (sched_.runnable_count() != 0) perform_context_switch();
+  else if (!sched_.all_finished()) sched_.retire_current();
+}
+
+Simulation::Retired Simulation::retire(std::uint64_t commits, const cpu::CommitEvent* ev,
+                                       RunResult& result) {
+  bool need_switch = commits != 0 && sched_.on_commits(commits);
+  if (ev != nullptr) {
+    if (ev->trap.pending()) {
+      if (ev->trap.kind != cpu::TrapKind::Halt) {
+        result.reason = ExitReason::Crashed;
+        result.trap = ev->trap;
+        result.crash_pc = ev->pc;
+        return Retired::Crashed;
+      }
+      sched_.finish_current(0);
+      cpu_->flush_and_redirect(cpu_->arch().pc());
+      leave_finished_thread();
+      return Retired::ThreadLeft;
+    }
+    if (commit_observer_) commit_observer_(*ev, cpu_->arch());
+    if (ev->is_pseudo) {
+      // Pseudo-ops are serialized in ID; discard any speculative fetches
+      // beyond them so FI boundaries and checkpoints see a quiesced
+      // machine, then dispatch (fi_read_init_all may capture a checkpoint).
+      // Dispatch sees the committed counts of everything before the
+      // pseudo-op (GET_INSTRET); its own commit is accounted after.
+      cpu_->flush_and_redirect(cpu_->arch().pc());
+      dispatch_pseudo(*ev);
+      // A latency-injected syscall parked the thread (its commit was
+      // accounted inside the dispatch); the loop top reschedules.
+      if (!sched_.has_current()) return Retired::ThreadLeft;
+      if (sched_.current().finished) {
+        leave_finished_thread();
+        return Retired::ThreadLeft;
+      }
+    }
+    if (sched_.on_commit()) need_switch = true;
+  }
+  if (need_switch) {
+    drain_for_switch_ = true;
+    cpu_->set_fetch_enabled(false);
+  }
+  if (drain_for_switch_ && cpu_->quiesced()) {
+    drain_for_switch_ = false;
+    perform_context_switch();
+  }
+  return Retired::Ok;
+}
+
 RunResult Simulation::run(std::uint64_t watchdog_ticks, double wall_deadline_seconds) {
   RunResult result;
   const std::uint64_t deadline = watchdog_ticks == 0 ? ~0ull : tick_ + watchdog_ticks;
@@ -223,12 +274,12 @@ RunResult Simulation::run(std::uint64_t watchdog_ticks, double wall_deadline_sec
   // traps, pseudo-ops), so the two loops are bit-identical in every
   // architectural and statistical observable; the lockstep suite checks it.
   // With fi_enabled the atomic model may additionally batch through the
-  // superblock tier (cfg_.fastmode) whenever the FaultManager is provably
-  // quiescent — no armed fault could fire and no propagation tracking is
-  // pending — with the fetch-window bookkeeping applied in bulk after the
-  // batch. That gate changes as faults arm, fire and resolve, and the active
-  // model itself can switch mid-run, so atomic engagement is re-decided
-  // every iteration; the timing gate's inputs are all run-constant.
+  // superblock tier (cfg_.fastmode) up to the FaultManager's horizon — the
+  // instructions that provably precede any armed fault's trigger — with the
+  // fetch-window bookkeeping applied in bulk after the batch. The horizon
+  // moves as faults arm, fire and resolve, and the active model itself can
+  // switch mid-run, so atomic engagement is re-decided every iteration; the
+  // timing gate's inputs are all run-constant.
   const bool fast_timing = cfg_.fastpath && !cfg_.fi_enabled && !commit_observer_ &&
                            active_cpu_ == CpuKind::TimingSimple;
 
@@ -273,14 +324,20 @@ RunResult Simulation::run(std::uint64_t watchdog_ticks, double wall_deadline_sec
       }
     }
 
-    const bool fast_atomic =
-        cfg_.predecode && !commit_observer_ && active_cpu_ == CpuKind::AtomicSimple &&
-        (!cfg_.fi_enabled || (cfg_.fastmode && fm_.fastmode_quiescent()));
-    // fast_atomic under fi_enabled implies fastmode, so the hook-refusing
-    // plain batch (the `--no-fastmode` baseline) only runs with FI off.
-    const bool use_trace = fast_atomic && cfg_.fastmode;
+    // FI compiled in: the fault horizon bounds the atomic batch (0 hands the
+    // next instruction to the per-tick interpreter and its hooks), and its
+    // watch set ends a trace in front of any instruction a hook must see.
+    // `--no-fastmode` keeps every FI-enabled instruction on the per-tick
+    // loop.
+    bool fast_atomic =
+        cfg_.predecode && !commit_observer_ && active_cpu_ == CpuKind::AtomicSimple;
+    fi::FaultManager::FastmodeBound bound;
+    if (fast_atomic && cfg_.fi_enabled) {
+      if (cfg_.fastmode) bound = fm_.fastmode_horizon(tick_);
+      fast_atomic = cfg_.fastmode && bound.insts != 0;
+    }
     if ((fast_atomic || fast_timing) && !drain_for_switch_) {
-      std::uint64_t n = deadline - tick_;
+      std::uint64_t n = std::min(deadline - tick_, bound.insts);
       const std::uint64_t pre = sched_.commits_before_preempt();
       // Atomic retires one instruction per tick, so the commit bound is a
       // tick bound too; the timing batch takes it separately.
@@ -302,9 +359,12 @@ RunResult Simulation::run(std::uint64_t watchdog_ticks, double wall_deadline_sec
       auto& scpu = static_cast<cpu::SimpleCpu&>(*cpu_);
       cpu::CommitEvent ev;
       const cpu::BatchResult br =
-          fast_atomic ? (use_trace ? scpu.run_trace_batch(n, ev) : scpu.run_atomic_batch(n, ev))
-                      : scpu.run_timing_batch(n, pre, ev);
+          !fast_atomic    ? scpu.run_timing_batch(n, pre, ev)
+          : cfg_.fastmode ? scpu.run_trace_batch(n, ev, bound.watch)
+                          : scpu.run_atomic_batch(n, ev);
       tick_ += br.ticks;
+      tiers_.trace += br.traced;
+      tiers_.batch += br.commits - br.traced;
       if (cfg_.fi_enabled && br.ticks != 0) {
         // Bulk FI bookkeeping for the hook-free batch: every executed tick
         // was one fetch attempt, but a faulting fetch never reaches
@@ -317,53 +377,16 @@ RunResult Simulation::run(std::uint64_t watchdog_ticks, double wall_deadline_sec
         fm_.set_now(tick_);
       }
       if (br.ticks != 0 || br.stopped) {
-        bool need_switch = false;
-        if (br.stopped && ev.trap.pending()) {
-          // The trapped instruction never committed; account the ones
-          // before it and handle the trap as the per-tick loop does.
-          sched_.on_commits(br.commits);
-          if (ev.trap.kind == cpu::TrapKind::Halt) {
-            sched_.finish_current(0);
-            cpu_->flush_and_redirect(cpu_->arch().pc());
-            if (sched_.runnable_count() != 0) perform_context_switch();
-            else if (!sched_.all_finished()) sched_.retire_current();
-            continue;
-          }
-          result.reason = ExitReason::Crashed;
-          result.trap = ev.trap;
-          result.crash_pc = ev.pc;
+        // A stop event is a trap (never committed) or a pseudo-op (the last
+        // of br.commits); the commits before it retire plainly.
+        const bool pseudo = br.stopped && !ev.trap.pending();
+        if (retire(br.commits - (pseudo ? 1 : 0), br.stopped ? &ev : nullptr, result) ==
+            Retired::Crashed)
           break;
-        }
-        if (br.stopped) {
-          // Pseudo-op: dispatch sees the committed counts of everything
-          // before it (GET_INSTRET), its own commit is accounted after —
-          // the same order as the per-tick loop.
-          need_switch = sched_.on_commits(br.commits - 1);
-          cpu_->flush_and_redirect(cpu_->arch().pc());
-          dispatch_pseudo(ev);
-          // A latency-injected syscall parked the thread (its commit was
-          // accounted inside the dispatch); the loop top reschedules.
-          if (!sched_.has_current()) continue;
-          if (sched_.current().finished) {
-            if (sched_.runnable_count() != 0) perform_context_switch();
-            else if (!sched_.all_finished()) sched_.retire_current();
-            continue;
-          }
-          if (sched_.on_commit()) need_switch = true;
-        } else {
-          need_switch = sched_.on_commits(br.commits);
-        }
-        if (need_switch) {
-          drain_for_switch_ = true;
-          cpu_->set_fetch_enabled(false);
-        }
-        if (drain_for_switch_ && cpu_->quiesced()) {
-          drain_for_switch_ = false;
-          perform_context_switch();
-        }
         continue;
       }
-      // Batch could not engage (e.g. fetch gated); fall through to cycle().
+      // Batch could not engage (e.g. fetch gated, or a watched register at
+      // the PC); fall through to cycle().
     }
 
     // Stall-cycle warping: when the CPU guarantees its next `stall` cycles
@@ -414,49 +437,12 @@ RunResult Simulation::run(std::uint64_t watchdog_ticks, double wall_deadline_sec
 
     const cpu::CycleResult cr = cpu_->cycle();
     try_warp = !cr.commit;
-    bool need_switch = false;
-
-    if (cr.commit) {
-      const cpu::CommitEvent& ev = *cr.commit;
-      if (ev.trap.pending()) {
-        if (ev.trap.kind == cpu::TrapKind::Halt) {
-          sched_.finish_current(0);
-          cpu_->flush_and_redirect(cpu_->arch().pc());
-          if (sched_.runnable_count() != 0) perform_context_switch();
-          else if (!sched_.all_finished()) sched_.retire_current();
-          continue;
-        }
-        result.reason = ExitReason::Crashed;
-        result.trap = ev.trap;
-        result.crash_pc = ev.pc;
-        break;
-      }
-      if (commit_observer_) commit_observer_(ev, cpu_->arch());
-      if (ev.is_pseudo) {
-        // Pseudo-ops are serialized in ID; discard any speculative fetches
-        // beyond them so FI boundaries and checkpoints see a quiesced
-        // machine, then dispatch (fi_read_init_all may capture a checkpoint).
-        cpu_->flush_and_redirect(cpu_->arch().pc());
-        dispatch_pseudo(ev);
-        // A latency-injected syscall parked the thread (its commit was
-        // accounted inside the dispatch); the loop top reschedules.
-        if (!sched_.has_current()) continue;
-        if (sched_.current().finished) {
-          if (sched_.runnable_count() != 0) perform_context_switch();
-          else if (!sched_.all_finished()) sched_.retire_current();
-          continue;
-        }
-      }
-      if (sched_.on_commit()) need_switch = true;
-    }
-
-    if (need_switch) {
-      drain_for_switch_ = true;
-      cpu_->set_fetch_enabled(false);
-    }
-    if (drain_for_switch_ && cpu_->quiesced()) {
-      drain_for_switch_ = false;
-      perform_context_switch();
+    if (cr.commit && !cr.commit->trap.pending())
+      ++(active_cpu_ == CpuKind::Pipelined ? tiers_.detailed : tiers_.tick);
+    if (cr.commit || drain_for_switch_) {
+      const Retired r = retire(0, cr.commit ? &*cr.commit : nullptr, result);
+      if (r == Retired::Crashed) break;
+      if (r == Retired::ThreadLeft) continue;
     }
 
     // Detailed -> atomic model switch once all transient faults resolved.
@@ -494,6 +480,10 @@ std::string Simulation::stats_report() const {
   put("sim.warped_ticks", warped_ticks_);
   put("sim.idle_ticks", idle_ticks_);
   put("sim.insts", total_committed());
+  put("sim.tier.trace_insts", tiers_.trace);
+  put("sim.tier.batch_insts", tiers_.batch);
+  put("sim.tier.tick_insts", tiers_.tick);
+  put("sim.tier.detailed_insts", tiers_.detailed);
   std::snprintf(line, sizeof line, "%-40s %20s\n", "cpu.model",
                 cpu_kind_name(active_cpu_));
   out += line;
@@ -569,6 +559,7 @@ void Simulation::deserialize_machine(util::ByteReader& r) {
   next_stack_top_ = r.get_u64();
   mode_switch_done_ = r.get_bool();
   drain_for_switch_ = false;
+  tiers_ = {};
   cpu_->flush_and_redirect(cpu_->arch().pc());
   cpu_->set_fetch_enabled(true);
   // Paper contract: restoring a checkpoint resets all GemFI bookkeeping so

@@ -51,14 +51,16 @@ struct SimConfig {
   // bit-identical either way (the lockstep suite proves it); false is the
   // `--no-fastpath` A/B baseline.
   bool fastpath = true;
-  // Golden-path fast mode: the superblock (threaded-code) tier above the
-  // atomic interpreter. Engages only while no FI machinery could observe a
-  // per-instruction hook (no fault plan armed in-window, no pending
-  // propagation tracking) and disengages at every trap, syscall, watchdog
-  // deadline and scheduling boundary. Purely a host-side optimization —
-  // digests, ticks, statistics and fi_log are bit-identical either way
-  // (the fastmode lockstep suite proves it); false is the `--no-fastmode`
-  // A/B baseline.
+  // Fault-horizon fast mode: the superblock (threaded-code) tier above the
+  // atomic interpreter. Under FI it runs up to the fault horizon — the
+  // instruction before any armed fault could trigger — hands the firing
+  // instructions to the per-tick interpreter and its hooks, and re-engages
+  // as soon as the fault has fired; while a corrupted register awaits its
+  // first read or overwrite, traces stop in front of any instruction naming
+  // it. It disengages at every trap, syscall, watchdog deadline and
+  // scheduling boundary. Purely a host-side optimization — digests, ticks,
+  // statistics and fi_log are bit-identical either way (the fastmode
+  // lockstep suite proves it); false is the `--no-fastmode` A/B baseline.
   bool fastmode = true;
   // OS syscall surface: sys_alloc heap carved above the apps' boot arena,
   // per-file capacity of the in-memory FS (ENOSPC bound) and per-channel
@@ -86,6 +88,16 @@ struct RunResult {
   std::uint64_t committed = 0; // total committed instructions so far
 
   [[nodiscard]] bool crashed() const noexcept { return reason == ExitReason::Crashed; }
+};
+
+/// Instructions the CPU retired per engine tier since construction or the
+/// last checkpoint restore (a thread's final EXIT included, which the
+/// scheduler's committed counts leave out).
+struct TierInsts {
+  std::uint64_t trace = 0;     // superblock traces (fast mode)
+  std::uint64_t batch = 0;     // hook-free interpreter batches, atomic or timing
+  std::uint64_t tick = 0;      // per-tick simple-model interpreter (FI hooks)
+  std::uint64_t detailed = 0;  // per-tick pipelined model
 };
 
 class Simulation {
@@ -148,6 +160,8 @@ class Simulation {
     return sched_.thread(tid).output;
   }
 
+  [[nodiscard]] const TierInsts& tier_insts() const noexcept { return tiers_; }
+
   /// Total committed instructions across all threads.
   [[nodiscard]] std::uint64_t total_committed() const noexcept;
 
@@ -171,6 +185,15 @@ class Simulation {
   void deserialize_machine(util::ByteReader& r);
 
  private:
+  /// How retire() left the running thread.
+  enum class Retired { Ok, ThreadLeft, Crashed };
+  /// The one retire boundary of every engine: account `commits` plain
+  /// commits, then `ev` if non-null — a trap (Halt ends the thread, anything
+  /// else the run), a pseudo-op or an ordinary commit — and start or finish
+  /// the context-switch drain. ThreadLeft: the thread exited or parked and
+  /// the loop must reschedule before anything else.
+  Retired retire(std::uint64_t commits, const cpu::CommitEvent* ev, RunResult& result);
+  void leave_finished_thread();
   void dispatch_pseudo(const cpu::CommitEvent& ev);
   void dispatch_syscall(os::Thread& t);
   void make_cpu(CpuKind kind);
@@ -192,6 +215,7 @@ class Simulation {
   std::uint64_t tick_ = 0;
   std::uint64_t warped_ticks_ = 0;  // ticks advanced by stall warps (fast lane)
   std::uint64_t idle_ticks_ = 0;    // ticks skipped while every thread slept
+  TierInsts tiers_;
   std::uint64_t next_stack_top_ = 0;
   bool drain_for_switch_ = false;
   bool mode_switch_done_ = false;

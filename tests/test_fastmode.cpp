@@ -9,14 +9,17 @@
 // The hard cases get their own fuzz sweeps: self-modifying code rewriting a
 // word inside an already-stitched trace (page-version invalidation),
 // checkpoint restores over a warm trace cache (full and dirty-page restore),
-// armed faults of every location (the tier must provably disengage while a
-// fault is live — equality under a permanent stuck-at is only possible if
-// every in-window fetch went through the interpreter), preemption quanta
+// armed faults of every location (the tier runs up to the fault horizon and
+// must hand every instruction a triggered fault could hit to the
+// interpreter — equality under a permanent stuck-at is only possible if
+// every in-window fetch after the trigger went through it), the horizon's
+// exact edges and watched-register exits, preemption quanta
 // across all three CPU models, and the campaign/replay JSONL byte-identity
 // contract.
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdio>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -50,6 +53,8 @@ struct GoldenRun {
   std::string output;
   std::vector<std::string> fi_log;
   isa::SuperblockStats sb{};
+  sim::TierInsts tiers{};
+  std::uint64_t cpu_retired = 0;  // CpuStats::committed (counts EXIT too)
 };
 
 struct GoldenSpec {
@@ -59,6 +64,10 @@ struct GoldenSpec {
   std::uint64_t watchdog = 500'000'000ull;
   std::vector<fi::Fault> faults;
   sim::Simulation::CheckpointHandler on_checkpoint;  // may be null
+  // One thread per entry, started at the program entry with the value in
+  // a0; empty runs the main thread alone.
+  std::vector<std::uint64_t> threads;
+  std::uint64_t quantum = 50000;
 };
 
 /// The default GoldenSpec with the trace tier on or off.
@@ -73,8 +82,10 @@ GoldenRun run_golden(const assembler::Program& prog, const GoldenSpec& spec) {
   cfg.cpu = spec.cpu;
   cfg.fi_enabled = spec.fi_enabled;
   cfg.fastmode = spec.fastmode;
+  cfg.quantum_insts = spec.quantum;
   sim::Simulation s(cfg, prog);
-  s.spawn_main_thread();
+  if (spec.threads.empty()) s.spawn_main_thread();
+  for (const std::uint64_t arg : spec.threads) s.spawn_thread(prog.entry, {arg});
   if (spec.on_checkpoint) s.set_checkpoint_handler(spec.on_checkpoint);
   if (!spec.faults.empty()) s.fault_manager().load_faults(spec.faults);
 
@@ -87,8 +98,11 @@ GoldenRun run_golden(const assembler::Program& prog, const GoldenSpec& spec) {
   g.mem_crc = util::crc32(s.memsys().phys().raw());
   g.window_fetches = s.fault_manager().last_deactivated_fetched();
   g.output = s.output(0);
+  for (std::size_t t = 1; t < spec.threads.size(); ++t) g.output += "|" + s.output(t);
   g.fi_log = s.fault_manager().injection_log();
   g.sb = s.memsys().superblock_stats();
+  g.tiers = s.tier_insts();
+  g.cpu_retired = s.cpu().stats().committed;
   return g;
 }
 
@@ -168,6 +182,294 @@ TEST(FastmodeFaults, EveryFaultLocationBitIdentical) {
     expect_identical(fast, slow, line);
     EXPECT_FALSE(fast.fi_log.empty()) << line << ": fault never applied";
   }
+}
+
+// ---------------- the fault horizon: exact edges -------------------------
+
+/// A small FI-window kernel for the horizon edge cases. Every thread runs it
+/// with its FI id in a0 (also its private memory cell). The 40-iteration
+/// loop is one hot trace that reads s1, overwrites t2 before reading it,
+/// round-trips a memory cell and accumulates in f2 — and never names t11.
+/// The window closes after a GET_INSTRET pseudo-op and an (invalid-number)
+/// syscall, so faults can land right behind either.
+assembler::Program horizon_kernel() {
+  Assembler as;
+  const DataRef cells = as.data_zeros(16);
+  const Label entry = as.here("main");
+  as.mov(reg::a0, reg::s3);
+  as.la(reg::s2, cells);
+  as.s8addq(reg::s3, reg::s2, reg::s2);
+  as.fi_activate();
+  as.li(reg::s0, 40);
+  as.li(reg::s1, 3);
+  as.li(reg::t0, 0);
+  as.fli(1, 1.5);
+  as.fli(2, 0.0);
+  const Label loop = as.here("loop");
+  as.addq(reg::t0, reg::s1, reg::t0);
+  as.mov_i(7, reg::t2);
+  as.addq(reg::t0, reg::t2, reg::t0);
+  as.ldq(reg::t3, 0, reg::s2);
+  as.addq_i(reg::t3, 1, reg::t3);
+  as.stq(reg::t3, 0, reg::s2);
+  as.addt(2, 1, 2);
+  as.subq_i(reg::s0, 1, reg::s0);
+  as.bne(reg::s0, loop);
+  as.instret();
+  as.addq(reg::t0, reg::v0, reg::t0);
+  as.li(reg::v0, 999);
+  as.syscall_();
+  as.addq(reg::t0, reg::v0, reg::t0);
+  as.addq_i(reg::t0, 1, reg::t0);
+  as.mov(reg::s3, reg::a0);
+  as.fi_activate();
+  as.print_int_r(reg::t0);
+  as.print_int_r(reg::t3);
+  as.fmov(2, reg::a0);
+  as.print_fp();
+  as.mov_i(0, reg::a0);
+  as.exit_();
+  return as.finalize(entry);
+}
+
+/// Runs `line` with the tier on and off and demands every observable equal;
+/// returns the fast run for tier-specific checks.
+GoldenRun expect_horizon_exact(const assembler::Program& prog, const std::string& line,
+                               std::vector<std::uint64_t> threads = {},
+                               std::uint64_t quantum = 50000) {
+  GoldenSpec spec;
+  spec.watchdog = 200'000;
+  spec.faults = {fi::parse_fault(line)};
+  spec.threads = std::move(threads);
+  spec.quantum = quantum;
+  const GoldenRun fast = run_golden(prog, spec);
+  spec.fastmode = false;
+  const GoldenRun slow = run_golden(prog, spec);
+  expect_identical(fast, slow, line);
+  // Every commit is counted on exactly one tier, and the trace tier's count
+  // is the superblock cache's own.
+  for (const GoldenRun* g : {&fast, &slow}) {
+    const sim::TierInsts& t = g->tiers;
+    EXPECT_EQ(t.trace + t.batch + t.tick + t.detailed, g->cpu_retired) << line;
+    EXPECT_EQ(t.trace, g->sb.exec_insts) << line;
+  }
+  EXPECT_EQ(slow.tiers.trace, 0u) << line;
+  return fast;
+}
+
+/// A fault line "<head> <kind>:<t> <behavior> Threadid:<tid> system.cpu0
+/// occ:1[ <target>]".
+std::string at(const char* head, const char* kind, std::uint64_t t, const char* behavior,
+               const char* target = "", int tid = 0) {
+  std::string line = std::string(head) + " " + kind + ":" + std::to_string(t) + " " +
+                     behavior + " Threadid:" + std::to_string(tid) + " system.cpu0 occ:1";
+  if (*target != 0) line += std::string(" ") + target;
+  return line;
+}
+
+/// FI-window length of the kernel's thread 0 in a fault-free run.
+std::uint64_t horizon_window(const assembler::Program& prog) {
+  return run_golden(prog, tier(true)).window_fetches;
+}
+
+TEST(FastmodeFaults, HorizonHandsTheInterpreterOnlyTheFiringInstruction) {
+  // A transient stage fault is handed to the interpreter for exactly its
+  // firing instruction, which commits and resolves it — one per-tick
+  // instruction in the whole run, wherever it lands (Inst:1 included), and
+  // traces before and after it. A horizon one short of the trigger costs a
+  // second per-tick instruction; one past it never fires the fault.
+  const assembler::Program prog = horizon_kernel();
+  const std::uint64_t window = horizon_window(prog);
+  ASSERT_GT(window, 300u);
+  for (std::uint64_t n = 1; n <= window; n += (n < 24 ? 1 : 29)) {
+    const std::string line = at("ExecutionStageInjectedFault", "Inst", n, "Xor:0x8");
+    const GoldenRun fast = expect_horizon_exact(prog, line);
+    ASSERT_EQ(fast.fi_log.size(), 1u) << line;
+    EXPECT_EQ(fast.tiers.tick, 1u) << line << ": interpreter ran more than the firing op";
+    EXPECT_GT(fast.tiers.trace, 0u) << line;
+  }
+}
+
+TEST(FastmodeFaults, InstOneOnEveryLocationBitIdentical) {
+  // Inst:1 is the first fetch after fi_activate: the horizon is 0 (stage
+  // faults) or 1 (register/PC faults, applied after the first fetch) the
+  // moment the window opens.
+  const assembler::Program prog = horizon_kernel();
+  for (const char* line :
+       {"FetchStageInjectedFault Inst:1 Flip:2 Threadid:0 system.cpu0 occ:1",
+        "DecodeStageInjectedFault Inst:1 Flip:1 Threadid:0 system.cpu0 occ:1 field rc",
+        "ExecutionStageInjectedFault Inst:1 Xor:0x10 Threadid:0 system.cpu0 occ:1",
+        "LoadStoreInjectedFault Inst:1 Flip:4 Threadid:0 system.cpu0 occ:1",
+        "RegisterInjectedFault Inst:1 Flip:3 Threadid:0 system.cpu0 occ:1 int 10",
+        "RegisterInjectedFault Inst:1 Flip:60 Threadid:0 system.cpu0 occ:1 float 1",
+        "PCInjectedFault Inst:1 Flip:3 Threadid:0 system.cpu0 occ:1"}) {
+    const GoldenRun fast = expect_horizon_exact(prog, line);
+    EXPECT_FALSE(fast.fi_log.empty()) << line << ": fault never applied";
+  }
+}
+
+TEST(FastmodeFaults, TriggerOnPreemptionQuantumBoundariesBitIdentical) {
+  // Two threads under a 7-instruction quantum: sweeping the trigger over
+  // the first 30 fetches lands it on, before and after the instruction at
+  // which the scheduler preempts — the batch then has two equal bounds.
+  const assembler::Program prog = horizon_kernel();
+  for (std::uint64_t n = 1; n <= 30; ++n) {
+    for (const std::string& line :
+         {at("ExecutionStageInjectedFault", "Inst", n, "Xor:0x10"),
+          at("RegisterInjectedFault", "Inst", n, "Flip:1", "int 10")}) {
+      const GoldenRun fast = expect_horizon_exact(prog, line, {0, 1}, 7);
+      EXPECT_FALSE(fast.fi_log.empty()) << line;
+    }
+  }
+}
+
+TEST(FastmodeFaults, TriggerRightAfterPseudoOpOrSyscallBitIdentical) {
+  // The window's tail is GET_INSTRET, two ALU ops, the syscall, and the ops
+  // that read its result: sweep every one of its last 12 fetch indices.
+  const assembler::Program prog = horizon_kernel();
+  const std::uint64_t window = horizon_window(prog);
+  for (std::uint64_t n = window - 11; n <= window; ++n) {
+    for (const std::string& line :
+         {at("ExecutionStageInjectedFault", "Inst", n, "Xor:0x10"),
+          at("RegisterInjectedFault", "Inst", n, "Flip:5", "int 1"),
+          at("RegisterInjectedFault", "Inst", n, "Flip:2", "int 0")})
+      expect_horizon_exact(prog, line);
+  }
+}
+
+TEST(FastmodeFaults, FaultOfAnotherThreadDoesNotBoundTheRunningOne) {
+  // Both threads open their own window (ids 0 and 1); a Threadid:1 fault
+  // can only trigger while thread 1 runs, so thread 0's window stays on
+  // the trace tier until the scheduler switches.
+  const assembler::Program prog = horizon_kernel();
+  for (const std::uint64_t n : {3ull, 120ull, 333ull}) {
+    for (const std::uint64_t quantum : {50ull, 50000ull}) {
+      const GoldenRun fast = expect_horizon_exact(
+          prog, at("RegisterInjectedFault", "Inst", n, "Flip:1", "int 10", 1), {0, 1},
+          quantum);
+      EXPECT_FALSE(fast.fi_log.empty()) << n;
+      EXPECT_GT(fast.tiers.trace, 300u) << n << ": thread 0's window left the trace tier";
+    }
+  }
+}
+
+TEST(FastmodeFaults, LoadStoreLandingOnNonMemoryInstructionBitIdentical) {
+  // A LoadStore Inst:N fault arms at fetch N and fires on the next memory
+  // transaction: traces run up to that load or store, which alone goes to
+  // the interpreter. One loop iteration of trigger points covers ALU, FP,
+  // branch and memory ops.
+  const assembler::Program prog = horizon_kernel();
+  for (std::uint64_t n = 30; n <= 40; ++n) {
+    const GoldenRun fast =
+        expect_horizon_exact(prog, at("LoadStoreInjectedFault", "Inst", n, "Flip:4"));
+    ASSERT_EQ(fast.fi_log.size(), 1u) << n;
+    EXPECT_EQ(fast.tiers.tick, 1u) << n << ": interpreter ran more than the memory op";
+  }
+}
+
+TEST(FastmodeFaults, TickTimedFaultsBitIdentical) {
+  // Tick:T triggers on the first tick at or after activation + T; in the
+  // atomic model every tick is one instruction, so the horizon is exact
+  // here too: a transient stage fault costs one per-tick instruction.
+  const assembler::Program prog = horizon_kernel();
+  for (const std::uint64_t t : {1ull, 2ull, 17ull, 150ull, 301ull}) {
+    const std::string stage_line =
+        at("ExecutionStageInjectedFault", "Tick", t, "Xor:0x10");
+    const GoldenRun stage = expect_horizon_exact(prog, stage_line);
+    ASSERT_EQ(stage.fi_log.size(), 1u) << t;
+    EXPECT_EQ(stage.tiers.tick, 1u) << t;
+    for (const std::string& line :
+         {at("RegisterInjectedFault", "Tick", t, "Flip:1", "int 10"),
+          at("LoadStoreInjectedFault", "Tick", t, "Flip:4"),
+          "RegisterInjectedFault Tick:" + std::to_string(t) +
+              " Imm:0x5 Threadid:0 system.cpu0 occ:2 int 1"}) {
+      const GoldenRun fast = expect_horizon_exact(prog, line);
+      EXPECT_FALSE(fast.fi_log.empty()) << line;
+    }
+  }
+}
+
+TEST(FastmodeFaults, WatchedRegisterResolvesInsideTheTraceTier) {
+  // A corrupted register stays under propagation tracking until its first
+  // read (consumed) or overwrite. Traces keep running and stop in front of
+  // the first instruction naming it, which the interpreter retires with
+  // on_commit — so the whole run costs at most the applying instruction
+  // plus that one per-tick. Cases: s1, read by the hot trace every
+  // iteration; t2, overwritten inside it before each read; t11, never
+  // named (tracked to the end of the run, entirely on traces); f1, read
+  // by the FP op.
+  const assembler::Program prog = horizon_kernel();
+  struct Case {
+    const char* reg;
+    bool resolved;
+  };
+  for (const Case c : {Case{"int 10", true}, Case{"int 3", true}, Case{"int 25", false},
+                       Case{"float 1", true}}) {
+    for (const std::uint64_t n : {10ull, 33ull, 34ull, 35ull, 36ull, 200ull}) {
+      const std::string line = at("RegisterInjectedFault", "Inst", n, "Flip:2", c.reg);
+      const GoldenRun fast = expect_horizon_exact(prog, line);
+      ASSERT_EQ(fast.fi_log.size(), 1u) << line;
+      EXPECT_LE(fast.tiers.tick, 2u) << line;
+      EXPECT_GT(fast.tiers.trace, 300u) << line;
+      sim::SimConfig cfg;
+      cfg.cpu = sim::CpuKind::AtomicSimple;
+      sim::Simulation s(cfg, prog);
+      s.spawn_main_thread();
+      s.fault_manager().load_faults({fi::parse_fault(line)});
+      s.run(200'000);
+      const fi::FaultState& fs = s.fault_manager().states().at(0);
+      EXPECT_EQ(fs.consumed || fs.overwritten, c.resolved) << line;
+    }
+  }
+}
+
+// ---------------- engine-tier split of a whole campaign --------------------
+
+/// Share of a seeded atomic campaign's retired instructions that ran on the
+/// trace tier: every experiment restored into one Simulation from the
+/// calibration checkpoint, as a campaign worker does.
+double campaign_trace_share(const char* app_name, std::size_t experiments) {
+  constexpr std::uint64_t kSeed = 7;
+  campaign::CampaignConfig ccfg;
+  ccfg.cpu = sim::CpuKind::AtomicSimple;
+  const campaign::CalibratedApp ca = campaign::calibrate(apps::build_app(app_name), ccfg);
+  const chkpt::CheckpointImage image = chkpt::CheckpointImage::parse(ca.checkpoint);
+  sim::SimConfig cfg;
+  cfg.cpu = sim::CpuKind::AtomicSimple;
+  sim::Simulation s(cfg, ca.app.program);
+  s.spawn_main_thread();
+  sim::TierInsts sum;
+  for (std::size_t i = 0; i < experiments; ++i) {
+    if (i == 0) image.restore_into(s);
+    else image.restore_dirty_into(s);
+    s.fault_manager().load_faults(
+        {campaign::seeded_fault_any(kSeed, i, ca.kernel_fetches)});
+    s.run(ccfg.watchdog_mult * ca.golden_ticks + 1'000'000);
+    const sim::TierInsts& t = s.tier_insts();
+    sum.trace += t.trace;
+    sum.batch += t.batch;
+    sum.tick += t.tick;
+    sum.detailed += t.detailed;
+  }
+  EXPECT_NE(s.stats_report().find("sim.tier.trace_insts"), std::string::npos);
+  const std::uint64_t total = sum.trace + sum.batch + sum.tick + sum.detailed;
+  std::printf("%s: %zu experiments, %llu insts: trace %.4f batch %.4f tick %.4f\n",
+              app_name, experiments, static_cast<unsigned long long>(total),
+              double(sum.trace) / double(total), double(sum.batch) / double(total),
+              double(sum.tick) / double(total));
+  EXPECT_EQ(sum.detailed, 0u) << app_name;
+  return double(sum.trace) / double(total);
+}
+
+TEST(FastmodeTiers, SeededAtomicCampaignRetiresOnTheTraceTier) {
+  // The deterministic counter behind the campaign speedup: with the fault
+  // horizon, the per-tick interpreter runs only the instructions a hook can
+  // observe. (Refusing the tier for the whole armed window and for every
+  // unresolved register fault left DCT at 32%.) Pi has almost no memory
+  // traffic, so a load/store fault waits long for its transaction: the
+  // memory-access exit keeps that wait on the trace tier.
+  EXPECT_GE(campaign_trace_share("dct", 100), 0.85);
+  EXPECT_GE(campaign_trace_share("pi", 100), 0.85);
 }
 
 // ---------------- preemption quanta across all three models ----------------

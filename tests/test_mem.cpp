@@ -2,6 +2,9 @@
 // write-back behavior, the MemSystem policy layer and latency model, and
 // serialization round-trips.
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <fstream>
 
 #include "mem/cache.hpp"
 #include "mem/memsys.hpp"
@@ -28,6 +31,39 @@ TEST(PhysMem, CheckedAccessSemantics) {
   v = 42;
   EXPECT_EQ(pm.load(9999, 8, v), AccessError::OutOfBounds);
   EXPECT_EQ(v, 42u);
+}
+
+/// Resident set of this process in KiB (/proc/self/statm).
+long resident_kib() {
+  std::ifstream statm("/proc/self/statm");
+  long size = 0, resident = 0;
+  statm >> size >> resident;
+  return resident * (::sysconf(_SC_PAGESIZE) / 1024);
+}
+
+TEST(PhysMem, PagesNeverWrittenStayNonResident) {
+  // Two 64 MiB memories, a few stores each, then a full-image copy: only
+  // the written pages may become resident — neither construction, the zero
+  // pages of the image, nor copy_from's scan of them touches the rest.
+  constexpr std::uint64_t kBytes = 64ull << 20;
+  const long before = resident_kib();
+  PhysMem image(kBytes);
+  ASSERT_EQ(image.store(3 * PhysMem::kPageBytes, 8, 0x1234), AccessError::None);
+  ASSERT_EQ(image.store(kBytes - 8, 8, 0x5678), AccessError::None);
+  PhysMem pm(kBytes);
+  ASSERT_EQ(pm.store(9 * PhysMem::kPageBytes, 8, 0x9abc), AccessError::None);
+  pm.copy_from(image.raw());
+  const long grown = resident_kib() - before;
+  EXPECT_LT(grown, 4 * 1024) << "KiB resident after touching 5 pages of 128 MiB";
+
+  std::uint64_t v = 0;
+  EXPECT_EQ(pm.load(3 * PhysMem::kPageBytes, 8, v), AccessError::None);
+  EXPECT_EQ(v, 0x1234u);
+  EXPECT_EQ(pm.load(kBytes - 8, 8, v), AccessError::None);
+  EXPECT_EQ(v, 0x5678u);
+  EXPECT_EQ(pm.load(9 * PhysMem::kPageBytes, 8, v), AccessError::None);
+  EXPECT_EQ(v, 0u) << "copy_from kept a page the image has zeroed";
+  EXPECT_EQ(pm.dirty_page_count(), 0u);
 }
 
 TEST(PhysMem, DirtyBitmapTracksStoresAndBlockWrites) {

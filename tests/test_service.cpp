@@ -390,8 +390,11 @@ namespace {
 TEST(Service, SigkillRestartLosesNothing) {
   const fs::path dir = fresh_dir("chaos");
   // Big enough that the kill always lands mid-campaign, even on a fast
-  // machine: the first service must die with most experiments outstanding.
-  const std::uint64_t n = GEMFI_SANITIZED ? 200 : 2000;
+  // machine: each campaign must outlast the 1 s rebalance that hands the
+  // second tenant a worker (pi runs at ~1 ms per experiment on the trace
+  // tier), and the first service must die with most experiments
+  // outstanding.
+  const std::uint64_t n = GEMFI_SANITIZED ? 1000 : 10000;
   const auto ref1 = reference_lines(pi_spec("alice", n, 1234));
   const auto ref2 = reference_lines(pi_spec("bob", n, 4321));
 
