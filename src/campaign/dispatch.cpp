@@ -1,6 +1,5 @@
 #include "campaign/dispatch.hpp"
 
-#include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -25,6 +24,16 @@ namespace {
 
 using net::mono_seconds;
 using wire::frame_for;
+
+/// Longest sleep of a worker's socket loop while the master is quiet. A
+/// finished result leaves on the loop's next pass, so it waits at most this
+/// long. The slots never wake the loop per result: that wakeup stalled the
+/// simulating thread (up to ~0.8 ms per result on a VM whose vCPUs had been
+/// idle) and made sub-millisecond campaigns CPU-bound, so their throughput
+/// followed the host's speed from run to run. With pipeline_depth 2 a slot
+/// runs at most about 2 / kResultFlushS experiments per second; only
+/// experiments shorter than kResultFlushS / 2 reach that cap.
+constexpr double kResultFlushS = 0.004;
 
 }  // namespace
 
@@ -253,10 +262,6 @@ class WorkerSession {
     return busy_.load(std::memory_order_relaxed);
   }
 
-  /// Readable once a slot has pushed a result since the last drain.
-  [[nodiscard]] int results_fd() const noexcept { return results_ready_.read_fd(); }
-  void drain_results_fd() noexcept { results_ready_.drain(); }
-
  private:
   void slot_main() {
     // One persistent Simulation per slot (the shared-baseline fast restore),
@@ -291,7 +296,6 @@ class WorkerSession {
         std::lock_guard lock(mutex_);
         out_.push_back(std::move(msg));
       }
-      results_ready_.notify();
     }
   }
 
@@ -305,7 +309,6 @@ class WorkerSession {
   std::deque<std::pair<std::uint64_t, fi::Fault>> in_;
   std::deque<wire::ResultMsg> out_;
   std::atomic<unsigned> busy_{0};
-  net::SelfPipe results_ready_;
 
   std::vector<std::thread> threads_;
 };
@@ -375,11 +378,10 @@ SessionEnd serve_connection(net::TcpConn& conn, const WorkerConfig& wcfg) {
     }
     if (shutdown) break;
 
-    session.drain_results_fd();
     for (const wire::ResultMsg& msg : session.take_results())
       conn.send_all(frame_for(wire::MsgType::Result, wire::encode_result(msg)));
 
-    double now = mono_seconds();
+    const double now = mono_seconds();
     if (now - last_heartbeat >= wcfg.heartbeat_interval_s) {
       last_heartbeat = now;
       conn.send_all(frame_for(
@@ -387,13 +389,7 @@ SessionEnd serve_connection(net::TcpConn& conn, const WorkerConfig& wcfg) {
           wire::encode_heartbeat({heartbeat_seq++, session.busy_slots()})));
     }
 
-    // Sleep until the master sends, a slot finishes an experiment (its
-    // result leaves on the next pass), or the next heartbeat is due.
-    now = mono_seconds();
-    const double wait_s = std::max(0.0, last_heartbeat + wcfg.heartbeat_interval_s - now);
-    pollfd fds[2] = {{conn.fd(), POLLIN, 0}, {session.results_fd(), POLLIN, 0}};
-    ::poll(fds, 2, int(wait_s * 1000.0) + 1);
-    if ((fds[0].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
+    if (!conn.wait_readable(kResultFlushS)) continue;
     const auto got = conn.recv_some(buf);
     if (!got) return SessionEnd::ConnectionLost;
     reader.feed(std::span<const std::uint8_t>(buf, *got));
