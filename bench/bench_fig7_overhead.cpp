@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
 
   // Timing-model fast-lane rate table: MRU cache hits + the fetch line
   // buffer, stall-cycle warping, and the batched TimingSimple dispatch loop
-  // against their `--no-fastpath` per-tick baseline. FI hooks are off here
+  // against their fastpath=false per-tick baseline. FI hooks are off here
   // — the fault-free calibration/golden-run configuration whose cost the
   // fast lane targets (and where the TimingSimple batch engages).
   std::printf("\n  simulation rate, timing-model fast lane (FI hooks off):\n");

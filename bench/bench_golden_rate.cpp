@@ -5,7 +5,7 @@
 // machinery fully armed (fi_activate bookkeeping, per-fetch counting) but no
 // faults loaded — and the one the superblock tier targets: with fast mode on
 // the atomic model batches through threaded-code traces whenever the fault
-// manager is provably quiescent; with --no-fastmode it executes the per-tick
+// manager is provably quiescent; with fastmode off it executes the per-tick
 // interpreter loop with per-instruction hook calls. Both runs are verified
 // against the app's golden output, and the FI-window fetch count (the
 // calibration sampling space) is asserted identical across modes — a bench

@@ -95,7 +95,7 @@ void simulate_app(benchmark::State& state, sim::CpuKind kind, bool fi,
 // disable the predecoded-instruction cache (live fetch+decode on every
 // instruction); NoFastpath rows disable the timing-model fast lane (MRU
 // cache hits, the fetch line buffer, stall-cycle warping, the batched
-// TimingSimple loop) — the `--no-fastpath` per-tick reference.
+// TimingSimple loop) — the fastpath=false per-tick reference.
 void BM_SimAtomic(benchmark::State& state) {
   simulate_app(state, sim::CpuKind::AtomicSimple, false);
 }

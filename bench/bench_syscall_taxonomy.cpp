@@ -23,10 +23,11 @@
 //     valid< written is an output-level effect, not a syscall error);
 //   * failing logwriter's read-back reopen (open call #2, the one open that
 //     happens inside the FI window) drives its error-exit path — unhandled;
-//   * jacobi reports ~100% none everywhere: all of its syscalls (version
-//     handshake, heap allocs) run during init, before the checkpoint that
-//     opens the FI window — the same window contract the paper applies to
-//     architectural faults.
+//   * jacobi is not a default target although it makes syscalls: all of
+//     them (version handshake, heap allocs) run during init, before the
+//     checkpoint that opens the FI window — the same window contract the
+//     paper applies to architectural faults — so every row would be 100%
+//     none. --apps=jacobi still runs it.
 #include <algorithm>
 #include <array>
 #include <cstdio>
@@ -58,10 +59,10 @@ int main(int argc, char** argv) {
   bench::print_header(
       "Syscall-fault taxonomy: failure propagation vs injected behavior");
 
-  // Only the syscall-ABI apps are meaningful targets; everything else would
-  // report 100% none.
+  // Only apps that make syscalls inside the FI window are meaningful
+  // targets; everything else would report 100% none.
   std::vector<std::string> apps = opt.apps;
-  if (apps.empty()) apps = {"jacobi", "logwriter"};
+  if (apps.empty()) apps = {"logwriter"};
 
   static constexpr BehaviorRow kRows[] = {
       {"errno:ENOENT(open)", "open@idx:2 errno:ENOENT"},

@@ -17,9 +17,6 @@ campaign::CampaignConfig Options::campaign_config() const {
   cfg.switch_to_atomic_after_fault = true;
   cfg.use_checkpoint = true;
   cfg.workers = workers == 0 ? std::max(1u, std::thread::hardware_concurrency()) : workers;
-  cfg.predecode = predecode;
-  cfg.fastpath = fastpath;
-  cfg.fastmode = fastmode;
   return cfg;
 }
 
@@ -41,12 +38,6 @@ Options parse_options(int argc, char** argv) {
       opt.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
     } else if (arg.rfind("--workers=", 0) == 0) {
       opt.workers = unsigned(std::strtoul(arg.c_str() + 10, nullptr, 10));
-    } else if (arg == "--no-predecode") {
-      opt.predecode = false;
-    } else if (arg == "--no-fastpath") {
-      opt.fastpath = false;
-    } else if (arg == "--no-fastmode") {
-      opt.fastmode = false;
     } else if (arg.rfind("--json=", 0) == 0) {
       opt.json = arg.substr(7);
     } else if (arg.rfind("--apps=", 0) == 0) {
@@ -60,8 +51,7 @@ Options parse_options(int argc, char** argv) {
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "options: --quick | --full | --n=<count> | --apps=a,b,c | "
-          "--seed=<u64> | --workers=<k> | --no-predecode | --no-fastpath | "
-          "--no-fastmode | --json=<path>\n");
+          "--seed=<u64> | --workers=<k> | --json=<path>\n");
       std::exit(0);
     } else {
       std::fprintf(stderr, "unknown option: %s (try --help)\n", arg.c_str());

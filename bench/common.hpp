@@ -7,16 +7,6 @@
 //   --apps=a,b,c   restrict the benchmark set
 //   --seed=<u64>   campaign RNG seed
 //   --workers=<k>  local experiment parallelism (default: hardware)
-//   --no-predecode disable the predecode fast path — the predecoded
-//                  instruction cache and the atomic model's batched dispatch
-//                  loop (A/B check: outcome distributions must be identical
-//                  at equal seeds)
-//   --no-fastpath  disable the timing-model fast lane — MRU cache hits, the
-//                  fetch line buffer, stall-cycle warping and the batched
-//                  TimingSimple loop (A/B check: tick-identical results)
-//   --no-fastmode  disable golden-path fast mode — the superblock
-//                  (threaded-code) tier above the atomic interpreter
-//                  (A/B check: digest-, tick- and fi-log-identical results)
 //   --json=<path>  additionally write every reported metric as a
 //                  BENCH_<name>.json machine-readable record
 // Default (no flags) is sized to finish on one core in a few minutes while
@@ -39,9 +29,6 @@ struct Options {
   std::vector<std::string> apps;  // empty = every registered app
   std::uint64_t seed = 20260706;
   unsigned workers = 0;  // 0 = hardware_concurrency
-  bool predecode = true;
-  bool fastpath = true;
-  bool fastmode = true;
   std::string json;  // empty = no JSON output
 
   /// Experiments per cell for a given default/quick/full sizing.

@@ -24,16 +24,6 @@
 //             [--paper]                paper-scale inputs
 //             [--watchdog-mult=<k>]    watchdog = k * golden ticks
 //             [--log]                  print the injection log
-//             [--no-predecode]         disable the predecode fast path (the
-//                                      predecoded-inst cache and the atomic
-//                                      model's batched dispatch loop)
-//             [--no-fastpath]          disable the timing-model fast lane
-//                                      (MRU cache hits, stall warping, the
-//                                      batched TimingSimple loop)
-//             [--no-fastmode]          disable the golden-path superblock
-//                                      tier (threaded-code traces on the
-//                                      atomic model up to the fault
-//                                      horizon); the A/B baseline
 //   gemfi_cli --app=<name> --campaign=<n>   seeded random-fault campaign
 //             [--seed=<u64>]           campaign seed (default 42)
 //             [--random-syscall-faults] additionally arm one seeded random
@@ -60,15 +50,16 @@
 //             [--colstore=<file.gfcs>] columnar result store for gemfi_query
 //   gemfi_cli --app=<name> --replay=<index> --seed=<u64> [--record=<file.jsonl>]
 //             re-run one campaign experiment in isolation from its JSONL
-//             record's (seed, index); prints the record to stdout. The
-//             record's "fastmode" field names the engine tier of the
-//             original run — pass --no-fastmode iff it says false. With
+//             record's (seed, index); prints the record to stdout. With
 //             --record, the original campaign JSONL is read and the replay
-//             asserts (exit 3) that the requested tier matches the record's
-//             "fastmode" field and that the re-run's canonical record is
+//             asserts (exit 3) that the re-run's canonical record is
 //             byte-identical to the original's (host-timing and checkpoint-
 //             restore-telemetry fields aside — those describe the host, not
 //             the simulated machine).
+//
+// Every run uses the fastest engine tiers; records are byte-identical on
+// every tier, so the tier is not an option. The per-tick reference loops
+// are compared against in the oracle tests and in-process A/B benches.
 //
 // Examples:
 //   echo 'RegisterInjectedFault Inst:2457 Flip:21 Threadid:0 system.cpu0 occ:1 int 1' > f.cfg
@@ -101,8 +92,7 @@ namespace {
   std::fprintf(stderr,
                "usage: %s --app=<name> [--faults=<file>] [--fault=<line>] "
                "[--syscall-fault=<line>] [--cpu=atomic|timing|"
-               "pipelined] [--paper] [--watchdog-mult=<k>] [--log] [--no-predecode]\n"
-               "           [--no-fastpath] [--no-fastmode]\n"
+               "pipelined] [--paper] [--watchdog-mult=<k>] [--log]\n"
                "       %s --app=<name> --campaign=<n> [--seed=<u64>] [--workers=<k>]\n"
                "           [--out=<file.jsonl>] [--progress] [--deadline=<sec>]\n"
                "           [--retries=<k>] [--now-local=<n>] [--slots=<k>]\n"
@@ -133,19 +123,10 @@ std::string find_record_line(const std::string& path, std::uint64_t index) {
   return {};
 }
 
-/// The value of a bool field in a JSONL record line; `fallback` if absent.
-bool record_bool_field(const std::string& line, const std::string& name, bool fallback) {
-  const std::string key = "\"" + name + "\":";
-  const std::size_t pos = line.find(key);
-  if (pos == std::string::npos) return fallback;
-  return line.compare(pos + key.size(), 4, "true") == 0;
-}
-
 /// A full record line reduced to the canonical (host-timing-free) form:
-/// the wall_seconds and fastmode fields are adjacent by construction
-/// (experiment_record_to_json emits them together), so one splice drops
-/// both. Returns the line unchanged when the fields are absent (the line
-/// was already canonical).
+/// everything from wall_seconds up to retries goes, which also drops the
+/// engine-tier field older builds wrote there. Returns the line unchanged
+/// when wall_seconds is absent (the line was already canonical).
 std::string canonical_form(const std::string& line) {
   const std::size_t begin = line.find(",\"wall_seconds\":");
   if (begin == std::string::npos) return line;
@@ -203,9 +184,6 @@ int main(int argc, char** argv) {
   unsigned slots = 1;
   unsigned retries = 2;
   double deadline = 0.0;
-  bool predecode = true;
-  bool fastpath = true;
-  bool fastmode = true;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -271,12 +249,6 @@ int main(int argc, char** argv) {
       out_path = arg.substr(6);
     } else if (arg == "--progress") {
       progress = true;
-    } else if (arg == "--no-predecode") {
-      predecode = false;
-    } else if (arg == "--no-fastpath") {
-      fastpath = false;
-    } else if (arg == "--no-fastmode") {
-      fastmode = false;
     } else {
       usage(argv[0]);
     }
@@ -329,9 +301,6 @@ int main(int argc, char** argv) {
   cfg.campaign_seed = campaign_seed;
   cfg.deadline_seconds = deadline;
   cfg.max_retries = retries;
-  cfg.predecode = predecode;
-  cfg.fastpath = fastpath;
-  cfg.fastmode = fastmode;
   cfg.syscall_plans = syscall_plans;
   cfg.random_syscall_faults = random_syscall_faults;
 
@@ -346,9 +315,6 @@ int main(int argc, char** argv) {
     }
     sim::SimConfig scfg;
     scfg.cpu = cpu;
-    scfg.predecode = predecode;
-    scfg.fastpath = fastpath;
-    scfg.fastmode = fastmode;
     sim::Simulation s(scfg, prog);
     s.spawn_main_thread();
     s.fault_manager().load_faults(faults);
@@ -401,10 +367,6 @@ int main(int argc, char** argv) {
     // Re-run one campaign experiment in isolation: (seed, index) from its
     // JSONL record regenerate the identical fault deterministically.
     const std::uint64_t index = std::uint64_t(replay_index);
-    // With --record, the original record's "fastmode" field names the
-    // engine tier that produced it; the replay must be forced onto the
-    // identical tier (the presence/absence of --no-fastmode) before it
-    // runs, or it is not a replay of the same machine.
     std::string original;
     if (!record_path.empty()) {
       original = find_record_line(record_path, index);
@@ -413,14 +375,6 @@ int main(int argc, char** argv) {
                      (unsigned long long)index, record_path.c_str());
         return 2;
       }
-      const bool recorded = record_bool_field(original, "fastmode", cfg.fastmode);
-      if (recorded != cfg.fastmode) {
-        std::fprintf(stderr,
-                     "replay %llu: engine tier mismatch (record ran fastmode=%d, "
-                     "requested %d; pass --no-fastmode iff the record says false)\n",
-                     (unsigned long long)index, int(recorded), int(cfg.fastmode));
-        return 3;
-      }
     }
     const fi::Fault f = campaign::seeded_fault_any(campaign_seed, index, ca.kernel_fetches);
     const auto plans = campaign::plans_for_experiment(cfg, index);
@@ -428,7 +382,7 @@ int main(int argc, char** argv) {
     const campaign::ExperimentRecord rec{
         std::size_t(index), 0, campaign::experiment_seed(campaign_seed, index), er};
     // Deterministic form (no host timing): two replays of the same (seed,
-    // index, plans) print byte-identical records — fast mode on or off.
+    // index, plans) print byte-identical records.
     const std::string canonical =
         campaign::experiment_record_to_json(rec, /*include_host_timing=*/false);
     if (!original.empty() &&
@@ -439,10 +393,9 @@ int main(int argc, char** argv) {
       return 3;
     }
     std::printf("%s\n", canonical.c_str());
-    std::fprintf(stderr, "replay %llu: %s (exit %s, fastmode=%d)\n",
-                 (unsigned long long)index,
+    std::fprintf(stderr, "replay %llu: %s (exit %s)\n", (unsigned long long)index,
                  apps::outcome_name(er.classification.outcome),
-                 sim::exit_reason_name(er.exit_reason), int(er.fastmode));
+                 sim::exit_reason_name(er.exit_reason));
     return 0;
   }
 
@@ -458,9 +411,9 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "%s\n", e.what());
         return 2;
       }
-      // Calibration header: the golden-run costs and wall time, plus the
-      // engine tier, as the stream's first record.
-      sink->write_line(campaign::calibration_record_to_json(app_name, ca, cfg.fastmode));
+      // Calibration header: the golden-run costs and wall time, as the
+      // stream's first record.
+      sink->write_line(campaign::calibration_record_to_json(app_name, ca));
       tee.add(sink.get());
     }
     if (!colstore_path.empty()) {
@@ -565,9 +518,6 @@ int main(int argc, char** argv) {
   sim::SimConfig scfg;
   scfg.cpu = cpu;
   scfg.switch_to_atomic_after_fault = faults.size() == 1;
-  scfg.predecode = predecode;
-  scfg.fastpath = fastpath;
-  scfg.fastmode = fastmode;
   sim::Simulation s(scfg, ca.app.program);
   s.spawn_main_thread();
   ca.checkpoint.restore_into(s);

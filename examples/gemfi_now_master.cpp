@@ -19,9 +19,6 @@
 //                              across worker counts and schedulings
 //       [--autoscale=MIN:MAX]  elastic local fleet: grow/retire forked
 //                              workers between MIN and MAX from the backlog
-//       [--no-fastmode]        disable the golden-path superblock tier for
-//                              calibration and every worker (A/B baseline;
-//                              the flag ships to workers in the Welcome)
 //       [--cpu=...] [--paper] [--deadline=<s>] [--retries=<k>] ...
 //
 // ^C drains gracefully: dispatch stops, in-flight results are collected,
@@ -51,8 +48,8 @@ namespace {
                "pipelined]\n"
                "           [--colstore=<file.gfcs>] [--stop-ci=EPS[@CONF]]\n"
                "           [--autoscale=MIN:MAX]\n"
-               "           [--paper] [--deadline=<s>] [--retries=<k>] [--watchdog-mult=<k>]\n"
-               "           [--no-fastmode]\n",
+               "           [--paper] [--deadline=<s>] [--retries=<k>]\n"
+               "           [--watchdog-mult=<k>]\n",
                argv0);
   std::exit(2);
 }
@@ -120,7 +117,6 @@ int main(int argc, char** argv) {
       cfg.max_retries = parse_u32_flag("retries", arg.substr(10));
     else if (arg.rfind("--watchdog-mult=", 0) == 0)
       cfg.watchdog_mult = parse_u64_flag("watchdog-mult", arg.substr(16));
-    else if (arg == "--no-fastmode") cfg.fastmode = false;
     else usage(argv[0]);
   }
   if (app_name.empty() || campaign_n == 0) usage(argv[0]);
@@ -145,7 +141,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", e.what());
       return 2;
     }
-    sink->write_line(campaign::calibration_record_to_json(app_name, ca, cfg.fastmode));
+    sink->write_line(campaign::calibration_record_to_json(app_name, ca));
     tee.add(sink.get());
   }
   if (!colstore_path.empty()) {

@@ -37,7 +37,7 @@ namespace {
       "           [--max-workers=<k>] [--cpu=atomic|timing|pipelined] [--paper]\n"
       "           [--deadline=<s>] [--retries=<k>] [--watchdog-mult=<k>]\n"
       "           [--stop-ci=EPS[@CONF]] sequential early stop for this campaign\n"
-      "           [--no-fastmode] [--wait] [--out=<file.jsonl>]\n"
+      "           [--wait] [--out=<file.jsonl>]\n"
       "       %s --port=<p> --status[=<id>]\n"
       "       %s --port=<p> --cancel=<id>\n"
       "       %s --port=<p> --watch=<id> [--out=<file.jsonl>]\n",
@@ -118,7 +118,6 @@ int main(int argc, char** argv) {
       spec.max_retries = parse_u32_flag("retries", arg.substr(10));
     else if (arg.rfind("--watchdog-mult=", 0) == 0)
       spec.watchdog_mult = parse_u64_flag("watchdog-mult", arg.substr(16));
-    else if (arg == "--no-fastmode") spec.fastmode = false;
     else if (arg.rfind("--stop-ci=", 0) == 0) {
       try {
         const campaign::StopPolicy p = campaign::parse_stop_ci(arg.substr(10));

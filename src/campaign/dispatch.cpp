@@ -25,14 +25,22 @@ namespace {
 using net::mono_seconds;
 using wire::frame_for;
 
+/// Seconds between a worker's Heartbeat frames.
+constexpr double kHeartbeatIntervalS = 1.0;
+
+/// Largest frame accepted from the master; it must fit the Welcome (config
+/// plus checkpoint image).
+constexpr std::size_t kMaxMasterFrame = std::size_t(1) << 31;
+
 /// Longest sleep of a worker's socket loop while the master is quiet. A
 /// finished result leaves on the loop's next pass, so it waits at most this
 /// long. The slots never wake the loop per result: that wakeup stalled the
 /// simulating thread (up to ~0.8 ms per result on a VM whose vCPUs had been
 /// idle) and made sub-millisecond campaigns CPU-bound, so their throughput
-/// followed the host's speed from run to run. With pipeline_depth 2 a slot
-/// runs at most about 2 / kResultFlushS experiments per second; only
-/// experiments shorter than kResultFlushS / 2 reach that cap.
+/// followed the host's speed from run to run. With two experiments in flight
+/// per slot (the fleet's pipeline depth) a slot runs at most about
+/// 2 / kResultFlushS experiments per second; only experiments shorter than
+/// kResultFlushS / 2 reach that cap.
 constexpr double kResultFlushS = 0.004;
 
 }  // namespace
@@ -320,7 +328,7 @@ SessionEnd serve_connection(net::TcpConn& conn, const WorkerConfig& wcfg) {
   conn.send_all(frame_for(wire::MsgType::Hello,
                           wire::encode_hello({wire::kProtocolVersion, wcfg.slots})));
 
-  net::FrameReader reader(wcfg.max_master_frame);
+  net::FrameReader reader(kMaxMasterFrame);
   std::uint8_t buf[64 * 1024];
 
   // Wait for the Welcome (the checkpoint ship can take a moment on a LAN).
@@ -382,7 +390,7 @@ SessionEnd serve_connection(net::TcpConn& conn, const WorkerConfig& wcfg) {
       conn.send_all(frame_for(wire::MsgType::Result, wire::encode_result(msg)));
 
     const double now = mono_seconds();
-    if (now - last_heartbeat >= wcfg.heartbeat_interval_s) {
+    if (now - last_heartbeat >= kHeartbeatIntervalS) {
       last_heartbeat = now;
       conn.send_all(frame_for(
           wire::MsgType::Heartbeat,

@@ -51,8 +51,9 @@ struct AutoscaleConfig {
   unsigned max_workers = 0;
 
   /// Watermarks are backlog-per-slot (pending + in-flight experiments over
-  /// total fleet slots). With pipeline_depth 2 a saturated fleet sits near
-  /// 2, so growth starts well above that and retirement well below.
+  /// total fleet slots). With two experiments in flight per slot a saturated
+  /// fleet sits near 2, so growth starts well above that and retirement well
+  /// below.
   double high_watermark = 4.0;
   double low_watermark = 1.0;
 
@@ -175,16 +176,12 @@ struct WorkerConfig {
   std::uint16_t port = 0;
   unsigned slots = 1;  // parallel experiments in this worker process
 
-  double heartbeat_interval_s = 1.0;
   /// Connect/reconnect budget: attempts per connect() call, with exponential
   /// backoff starting at backoff_s; and how many times a *lost established*
   /// connection may be re-established before the worker gives up.
   unsigned connect_attempts = 20;
   double connect_backoff_s = 0.1;
   unsigned max_reconnects = 3;
-  /// Largest frame accepted from the master; must fit the Welcome (config +
-  /// checkpoint image).
-  std::size_t max_master_frame = std::size_t(1) << 31;
 };
 
 /// Run one worker process: connect, register, execute batches until the

@@ -13,6 +13,17 @@ namespace {
 using net::mono_seconds;
 using wire::frame_for;
 
+/// Longest sleep of the event loop when no socket is ready.
+constexpr double kPollIntervalS = 0.05;
+
+/// In-flight experiments per worker = slots * kPipelineDepth, which keeps
+/// its slots busy while batches are in transit.
+constexpr unsigned kPipelineDepth = 2;
+
+/// Largest frame accepted from any peer. Results and control requests are
+/// small; a peer announcing a huge payload is dropped before allocation.
+constexpr std::size_t kMaxPeerFrame = std::size_t(1) << 20;
+
 }  // namespace
 
 void Lane::open(const CalibratedApp& ca, const apps::AppScale& scale,
@@ -63,7 +74,7 @@ void Fleet::serve() {
     fds.push_back({sigint_.read_fd(), POLLIN, 0});
     fds.push_back({wake_.read_fd(), POLLIN, 0});
     for (const auto& p : peers_) fds.push_back({p->conn.fd(), POLLIN, 0});
-    ::poll(fds.data(), nfds_t(fds.size()), int(fleet_cfg_.poll_interval_s * 1000.0) + 1);
+    ::poll(fds.data(), nfds_t(fds.size()), int(kPollIntervalS * 1000.0) + 1);
 
     if (fds[1].revents & POLLIN) {
       sigint_.drain();
@@ -74,7 +85,7 @@ void Fleet::serve() {
     if (fds[0].revents & POLLIN)
       while (auto conn = listener_.accept()) {
         peers_.push_back(std::make_unique<Peer>(
-            std::move(*conn), fleet_cfg_.max_worker_frame, mono_seconds()));
+            std::move(*conn), kMaxPeerFrame, mono_seconds()));
         peers_.back()->id = next_peer_id_++;
       }
 
@@ -289,7 +300,7 @@ void Fleet::reap_silent_peers() {
 }
 
 /// Lease parked workers (their one Welcome), then top every leased worker up
-/// to slots x pipeline_depth from its lane's queue.
+/// to slots x kPipelineDepth from its lane's queue.
 void Fleet::assign_and_dispatch() {
   if (!dispatching()) return;
   const double now = mono_seconds();
@@ -309,7 +320,7 @@ void Fleet::assign_and_dispatch() {
     if (p->defunct || p->retiring || p->lease == 0) continue;
     Lane* lane = find_lane(p->lease);
     if (lane == nullptr || !lane->running) continue;
-    const std::size_t target = std::size_t(p->slots) * fleet_cfg_.pipeline_depth;
+    const std::size_t target = std::size_t(p->slots) * kPipelineDepth;
     std::vector<wire::BatchItem> items;
     while (p->inflight.size() + items.size() < target && !lane->pending.empty()) {
       const std::uint64_t index = lane->pending.front();

@@ -4,7 +4,7 @@
 // service (service/service.hpp) run the same worker plane: one listener, one
 // poll loop, and workers that say Hello, wait parked, and receive a Welcome
 // (the checkpoint copy) when the engine leases them to a campaign. From then
-// on the engine tops each worker up to slots x pipeline_depth experiments,
+// on the engine tops each worker up to slots x 2 experiments,
 // keeps the first result per experiment id and drops replays, requeues a lost
 // worker's in-flight experiments, reaps silent peers, and applies the
 // sequential stop rule (CancelQueue/CancelAck). Each of those exists only
@@ -46,16 +46,6 @@ struct FleetConfig {
   /// worker_timeout_s, a half-received frame keeps it alive for at most this
   /// long from the moment the frame started arriving.
   double frame_grace_s = 10.0;
-
-  double poll_interval_s = 0.05;  // event-loop tick
-
-  /// In-flight experiments per worker = slots * pipeline_depth (keeps slots
-  /// busy while batches are in transit).
-  unsigned pipeline_depth = 2;
-
-  /// Largest frame accepted from any peer (results and control requests are
-  /// small; a peer announcing a huge payload is dropped before allocation).
-  std::size_t max_worker_frame = 1 << 20;
 
   /// Install a SIGINT handler for the duration of the serve loop (CLIs set
   /// this; library callers usually do not). The front end decides what

@@ -33,7 +33,7 @@ std::string experiment_record_to_json(const ExperimentRecord& rec, bool include_
       .field("time_fraction", er.time_fraction)
       .field("sim_ticks", er.sim_ticks);
   if (include_host_timing)
-    w.field("wall_seconds", er.wall_seconds).field("fastmode", er.fastmode);
+    w.field("wall_seconds", er.wall_seconds);
   w.field("retries", std::uint64_t(er.retries));
   if (er.ckpt_version != 0) {
     w.field("ckpt_format",
@@ -59,16 +59,15 @@ std::string experiment_record_to_json(const ExperimentRecord& rec, bool include_
   return w.str();
 }
 
-std::string calibration_record_to_json(const std::string& app_name, const CalibratedApp& ca,
-                                       bool fastmode) {
+std::string calibration_record_to_json(const std::string& app_name,
+                                       const CalibratedApp& ca) {
   jsonl::ObjectWriter w;
   w.field("event", "calibrated")
       .field("app", app_name)
       .field("golden_insts", ca.golden_committed)
       .field("kernel_fetches", ca.kernel_fetches)
       .field("golden_ticks", ca.golden_ticks)
-      .field("calib_wall_seconds", ca.calib_wall_seconds)
-      .field("fastmode", fastmode);
+      .field("calib_wall_seconds", ca.calib_wall_seconds);
   return w.str();
 }
 

@@ -26,20 +26,19 @@ namespace gemfi::campaign {
 /// fi::parse_fault(), and (seed, index) regenerate the fault via
 /// seeded_fault_any() when the campaign used seeded generation.
 ///
-/// With `include_host_timing` false, the host-side fields (wall_seconds, and
-/// the fast-mode flag recording which engine tier produced the run) are
+/// With `include_host_timing` false, the host-side field wall_seconds is
 /// omitted; every remaining field is a pure function of the seeded
-/// simulation, so two runs of the same campaign — fast mode on or off —
+/// simulation, so two runs of the same campaign — on any engine tier —
 /// produce byte-identical lines, the form the determinism regression tests
 /// and `--replay` compare.
 std::string experiment_record_to_json(const ExperimentRecord& rec,
                                       bool include_host_timing = true);
 
 /// One "calibrated" header line for a campaign JSONL stream: the golden-run
-/// costs, the host wall time calibration took, and the engine tier that
-/// produced it. Emitted before the experiment records by the campaign CLIs.
-std::string calibration_record_to_json(const std::string& app_name, const CalibratedApp& ca,
-                                       bool fastmode);
+/// costs and the host wall time calibration took. Emitted before the
+/// experiment records by the campaign CLIs.
+std::string calibration_record_to_json(const std::string& app_name,
+                                       const CalibratedApp& ca);
 
 class CampaignObserver {
  public:

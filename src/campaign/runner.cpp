@@ -18,6 +18,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Factor by which each retry multiplies the experiment's wall-clock deadline.
+constexpr double kRetryBackoff = 2.0;
+
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
@@ -44,7 +47,6 @@ ExperimentResult execute_faulted_run(sim::Simulation& s, const CalibratedApp& ca
                                      const std::vector<fi::SyscallFaultPlan>& plans) {
   ExperimentResult er;
   er.fault = fault;
-  er.fastmode = cfg.fastmode;
   er.time_fraction = ca.kernel_fetches == 0
                          ? 0.0
                          : double(fault.time) / double(ca.kernel_fetches);
@@ -99,7 +101,7 @@ ExperimentResult retry_policy(const CalibratedApp& ca, const fi::Fault& fault,
       // injected fault: retry with a longer leash. Tick-watchdog exits are
       // deterministic in simulated time and are never retried.
       if (er.exit_reason == sim::ExitReason::Deadline && !last) {
-        attempt_cfg.deadline_seconds *= cfg.retry_backoff;
+        attempt_cfg.deadline_seconds *= kRetryBackoff;
         continue;
       }
       er.retries = attempt;
@@ -109,7 +111,7 @@ ExperimentResult retry_policy(const CalibratedApp& ca, const fi::Fault& fault,
       on_error();
       if (!last) {
         if (attempt_cfg.deadline_seconds > 0.0)
-          attempt_cfg.deadline_seconds *= cfg.retry_backoff;
+          attempt_cfg.deadline_seconds *= kRetryBackoff;
         continue;
       }
       // Simulator-internal failure survived every retry: report it as a

@@ -24,9 +24,12 @@ struct CampaignConfig {
   sim::CpuKind cpu = sim::CpuKind::Pipelined;
   bool switch_to_atomic_after_fault = true;  // Sec. IV-B-1 speed trick
   bool use_checkpoint = true;                // Sec. III-D fast-forwarding
+  // Engine tiers (sim::SimConfig): in-process only, never shipped to a
+  // worker or written to a record, since records are byte-identical either
+  // way. The oracle tests and in-process A/B benches turn them off.
   bool predecode = true;                     // predecoded-instruction cache
-  bool fastpath = true;                      // timing-model fast lane (A/B)
-  bool fastmode = true;                      // superblock golden-path tier (A/B)
+  bool fastpath = true;                      // timing-model fast lane
+  bool fastmode = true;                      // superblock golden-path tier
   unsigned workers = 1;                      // local experiment parallelism
   std::uint64_t watchdog_mult = 8;           // watchdog = mult * golden ticks
 
@@ -45,9 +48,8 @@ struct CampaignConfig {
   /// Bounded retries for experiments that die on simulator-internal errors
   /// (exceptions from the simulator, e.g. a damaged checkpoint) or on the
   /// wall-clock deadline — failures of the substrate, not effects of the
-  /// injected fault. Each retry multiplies the deadline by retry_backoff.
+  /// injected fault. Each retry doubles the deadline.
   unsigned max_retries = 2;
-  double retry_backoff = 2.0;
 
   /// Telemetry sink; not owned, may be null. See observer.hpp for the
   /// thread-safety contract.
@@ -153,8 +155,8 @@ struct ExperimentResult {
   std::uint64_t sim_ticks = 0;  // simulated ticks consumed by the experiment
   double wall_seconds = 0.0;    // host wall time (all attempts)
   unsigned retries = 0;         // attempts beyond the first (see max_retries)
-  bool fastmode = true;         // golden-path tier armed for this run (replay
-                                // must force the identical engagement decision)
+  bool fastmode = true;         // unused: nothing in src/ sets, reads or
+                                // serialises it; kept because perfbench assigns it
   std::string sim_error;        // simulator-internal failure, retries exhausted
 
   // Checkpoint-restore telemetry (0/absent when the experiment ran from
@@ -179,7 +181,7 @@ ExperimentResult run_experiment(const CalibratedApp& ca, const fi::Fault& fault,
 
 /// Run one experiment with the campaign robustness policy: up to
 /// cfg.max_retries re-runs on simulator-internal exceptions or wall-clock
-/// deadline exits, backing the deadline off by cfg.retry_backoff each time.
+/// deadline exits, doubling the deadline each time.
 /// Never throws on simulator errors: after the last retry the result carries
 /// the message in sim_error and classifies as Crashed.
 ExperimentResult run_experiment_with_retry(const CalibratedApp& ca, const fi::Fault& fault,

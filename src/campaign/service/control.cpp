@@ -40,10 +40,6 @@ std::vector<std::uint8_t> encode_submit(const CampaignSpec& spec) {
   w.put_u64(spec.watchdog_mult);
   w.put_f64(spec.deadline_seconds);
   w.put_u32(spec.max_retries);
-  w.put_f64(spec.retry_backoff);
-  w.put_bool(spec.predecode);
-  w.put_bool(spec.fastpath);
-  w.put_bool(spec.fastmode);
   w.put_f64(spec.stop_eps);
   w.put_f64(spec.stop_conf);
   return w.take();
@@ -65,10 +61,6 @@ CampaignSpec decode_submit(std::span<const std::uint8_t> payload) {
   s.watchdog_mult = r.get_u64();
   s.deadline_seconds = r.get_f64();
   s.max_retries = r.get_u32();
-  s.retry_backoff = r.get_f64();
-  s.predecode = r.get_bool();
-  s.fastpath = r.get_bool();
-  s.fastmode = r.get_bool();
   s.stop_eps = r.get_f64();
   s.stop_conf = r.get_f64();
   expect_end(r, "SubmitCampaign");

@@ -149,13 +149,11 @@ void Journal::record_submit(std::uint64_t id, const CampaignSpec& spec) {
   append_event_line(line);
 }
 
-void Journal::record_calibrated(std::uint64_t id, double calib_wall_seconds,
-                                bool fastmode) {
+void Journal::record_calibrated(std::uint64_t id, double calib_wall_seconds) {
   jsonl::ObjectWriter w;
   w.field("event", "calibrated")
       .field("id", id)
-      .field("calib_wall_seconds", calib_wall_seconds)
-      .field("fastmode", fastmode);
+      .field("calib_wall_seconds", calib_wall_seconds);
   append_event_line(w.str());
 }
 

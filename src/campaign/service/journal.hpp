@@ -61,10 +61,10 @@ class Journal {
 
   // --- appends (each line flushed before returning) ---
   void record_submit(std::uint64_t id, const CampaignSpec& spec);
-  /// One line per completed calibration: the golden-run wall cost and the
-  /// engine tier (fast mode) that produced it. Informational — recovery
-  /// recognizes and skips it without counting it as damage.
-  void record_calibrated(std::uint64_t id, double calib_wall_seconds, bool fastmode);
+  /// One line per completed calibration: the golden-run wall cost.
+  /// Informational — recovery recognizes and skips it without counting it
+  /// as damage.
+  void record_calibrated(std::uint64_t id, double calib_wall_seconds);
   void record_terminal(std::uint64_t id, CampaignState state, const std::string& error);
   void append_result(std::uint64_t id, const std::string& json_line);
 

@@ -123,9 +123,7 @@ struct CampaignService::Impl final : Fleet {
           job.spec.app_name + "|" + (job.spec.paper_scale ? "p" : "s") + "|" +
           std::to_string(job.spec.app_scale_seed) + "|" +
           std::to_string(job.spec.cpu) + "|" +
-          std::to_string(job.spec.watchdog_mult) + "|" +
-          (job.spec.predecode ? "d" : "-") + (job.spec.fastpath ? "f" : "-") +
-          (job.spec.fastmode ? "m" : "-");
+          std::to_string(job.spec.watchdog_mult);
       try {
         auto it = cache.find(key);
         if (it == cache.end()) {
@@ -174,7 +172,7 @@ struct CampaignService::Impl final : Fleet {
       const CampaignConfig cfg = c.spec.to_campaign_config();
       // Durable calibration cost record: a restarted service recalibrates, so
       // the journal keeps one "calibrated" line per completed calibration.
-      journal.record_calibrated(c.id, d.ca.calib_wall_seconds, cfg.fastmode);
+      journal.record_calibrated(c.id, d.ca.calib_wall_seconds);
       c.lane.open(d.ca, c.spec.to_scale(), cfg,
                   seeded_fault_set(c.spec.campaign_seed,
                                    std::size_t(c.spec.experiments), d.ca.kernel_fetches),

@@ -26,10 +26,6 @@ CampaignConfig CampaignSpec::to_campaign_config() const {
   cfg.campaign_seed = campaign_seed;
   cfg.deadline_seconds = deadline_seconds;
   cfg.max_retries = max_retries;
-  cfg.retry_backoff = retry_backoff;
-  cfg.predecode = predecode;
-  cfg.fastpath = fastpath;
-  cfg.fastmode = fastmode;
   return cfg;
 }
 
@@ -55,10 +51,6 @@ std::string CampaignSpec::to_json() const {
       .field("watchdog_mult", watchdog_mult)
       .field("deadline", deadline_seconds)
       .field("retries", std::uint64_t(max_retries))
-      .field("retry_backoff", retry_backoff)
-      .field("predecode", predecode)
-      .field("fastpath", fastpath)
-      .field("fastmode", fastmode)
       .field("stop_eps", stop_eps)
       .field("stop_conf", stop_conf);
   return w.str();
@@ -81,10 +73,6 @@ CampaignSpec CampaignSpec::from_json(const jsonl::Value& v) {
   if (v.has("watchdog_mult")) s.watchdog_mult = v.at("watchdog_mult").as_u64();
   if (v.has("deadline")) s.deadline_seconds = v.at("deadline").as_double();
   if (v.has("retries")) s.max_retries = std::uint32_t(v.at("retries").as_u64());
-  if (v.has("retry_backoff")) s.retry_backoff = v.at("retry_backoff").as_double();
-  if (v.has("predecode")) s.predecode = v.at("predecode").as_bool();
-  if (v.has("fastpath")) s.fastpath = v.at("fastpath").as_bool();
-  if (v.has("fastmode")) s.fastmode = v.at("fastmode").as_bool();
   if (v.has("stop_eps")) s.stop_eps = v.at("stop_eps").as_double();
   if (v.has("stop_conf")) s.stop_conf = v.at("stop_conf").as_double();
   s.validate();

@@ -2,8 +2,9 @@
 //
 // A CampaignSpec is everything a client must say to get a campaign run: the
 // app and its scale, the experiment count and seed, the execution knobs that
-// affect results, and the multi-tenant scheduling inputs (tenant, fair-share
-// weight, worker quota). The same struct is the unit of durability — the
+// affect results (not the host-side engine tier, which does not), and the
+// multi-tenant scheduling inputs (tenant, fair-share weight, worker quota).
+// The same struct is the unit of durability — the
 // service journals each accepted spec as one JSON line and rebuilds its
 // campaign table from those lines after a crash — so both representations
 // (bytesio for the wire, JSON for the journal) live here and are covered by
@@ -40,10 +41,6 @@ struct CampaignSpec {
   std::uint64_t watchdog_mult = 8;
   double deadline_seconds = 0.0;
   std::uint32_t max_retries = 2;
-  double retry_backoff = 2.0;
-  bool predecode = true;
-  bool fastpath = true;
-  bool fastmode = true;  // superblock golden-path tier (A/B knob)
 
   /// Sequential early-stop rule: stop once every outcome proportion's
   /// Wilson CI half-width is below stop_eps at stop_conf confidence,
@@ -61,7 +58,8 @@ struct CampaignSpec {
   /// Journal form: the spec's fields as one flat JSON object (no newline).
   [[nodiscard]] std::string to_json() const;
   /// Rebuild from a parsed journal object; missing optional fields keep
-  /// their defaults, so old journals load under newer builds. Throws
+  /// their defaults and unknown ones are ignored, so old journals load
+  /// under newer builds. Throws
   /// std::invalid_argument / std::out_of_range on malformed input.
   static CampaignSpec from_json(const jsonl::Value& v);
 };

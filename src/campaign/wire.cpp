@@ -49,7 +49,6 @@ void put_result(ByteWriter& w, const ExperimentResult& er) {
   w.put_bool(er.syscall_class.injected);
   w.put_bool(er.syscall_class.unrealistic);
   w.put_u64(er.syscalls_injected);
-  w.put_bool(er.fastmode);
 }
 
 ExperimentResult get_result(ByteReader& r) {
@@ -82,7 +81,6 @@ ExperimentResult get_result(ByteReader& r) {
   er.syscall_class.injected = r.get_bool();
   er.syscall_class.unrealistic = r.get_bool();
   er.syscalls_injected = r.get_u64();
-  er.fastmode = r.get_bool();
   return er;
 }
 
@@ -126,14 +124,10 @@ Welcome Welcome::from(const CalibratedApp& ca, const apps::AppScale& scale,
   w.cpu = std::uint8_t(cfg.cpu);
   w.switch_to_atomic_after_fault = cfg.switch_to_atomic_after_fault;
   w.use_checkpoint = cfg.use_checkpoint;
-  w.predecode = cfg.predecode;
-  w.fastpath = cfg.fastpath;
-  w.fastmode = cfg.fastmode;
   w.watchdog_mult = cfg.watchdog_mult;
   w.campaign_seed = cfg.campaign_seed;
   w.deadline_seconds = cfg.deadline_seconds;
   w.max_retries = cfg.max_retries;
-  w.retry_backoff = cfg.retry_backoff;
   w.syscall_plan_lines.reserve(cfg.syscall_plans.size());
   for (const fi::SyscallFaultPlan& p : cfg.syscall_plans)
     w.syscall_plan_lines.push_back(p.to_line());
@@ -164,14 +158,10 @@ CampaignConfig Welcome::rebuild_config() const {
   cfg.cpu = static_cast<sim::CpuKind>(cpu);
   cfg.switch_to_atomic_after_fault = switch_to_atomic_after_fault;
   cfg.use_checkpoint = use_checkpoint;
-  cfg.predecode = predecode;
-  cfg.fastpath = fastpath;
-  cfg.fastmode = fastmode;
   cfg.watchdog_mult = watchdog_mult;
   cfg.campaign_seed = campaign_seed;
   cfg.deadline_seconds = deadline_seconds;
   cfg.max_retries = max_retries;
-  cfg.retry_backoff = retry_backoff;
   cfg.syscall_plans.reserve(syscall_plan_lines.size());
   for (const std::string& line : syscall_plan_lines)
     cfg.syscall_plans.push_back(fi::parse_syscall_plan(line));
@@ -197,17 +187,13 @@ std::vector<std::uint8_t> encode_welcome(const Welcome& w) {
   b.put_u8(w.cpu);
   b.put_bool(w.switch_to_atomic_after_fault);
   b.put_bool(w.use_checkpoint);
-  b.put_bool(w.predecode);
-  b.put_bool(w.fastpath);
   b.put_u64(w.watchdog_mult);
   b.put_u64(w.campaign_seed);
   b.put_f64(w.deadline_seconds);
   b.put_u32(w.max_retries);
-  b.put_f64(w.retry_backoff);
   b.put_u32(std::uint32_t(w.syscall_plan_lines.size()));
   for (const std::string& line : w.syscall_plan_lines) b.put_string(line);
   b.put_bool(w.random_syscall_faults);
-  b.put_bool(w.fastmode);
   return b.take();
 }
 
@@ -229,20 +215,16 @@ Welcome decode_welcome(std::span<const std::uint8_t> payload) {
   w.cpu = checked_enum(r, unsigned(sim::CpuKind::Pipelined) + 1, "cpu kind");
   w.switch_to_atomic_after_fault = r.get_bool();
   w.use_checkpoint = r.get_bool();
-  w.predecode = r.get_bool();
-  w.fastpath = r.get_bool();
   w.watchdog_mult = r.get_u64();
   w.campaign_seed = r.get_u64();
   w.deadline_seconds = r.get_f64();
   w.max_retries = r.get_u32();
-  w.retry_backoff = r.get_f64();
   const std::uint32_t n_plans = r.get_u32();
   if (n_plans > 1u << 16) throw DeserializeError("implausible syscall plan count");
   w.syscall_plan_lines.reserve(n_plans);
   for (std::uint32_t i = 0; i < n_plans; ++i)
     w.syscall_plan_lines.push_back(r.get_string());
   w.random_syscall_faults = r.get_bool();
-  w.fastmode = r.get_bool();
   if (!r.at_end()) throw DeserializeError("trailing bytes in Welcome");
   return w;
 }

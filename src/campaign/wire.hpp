@@ -24,7 +24,7 @@ namespace gemfi::campaign::wire {
 
 /// Every peer is built from this tree, so a Hello with any other version is
 /// rejected.
-inline constexpr std::uint32_t kProtocolVersion = 6;
+inline constexpr std::uint32_t kProtocolVersion = 7;
 
 enum class MsgType : std::uint8_t {
   // --- worker plane ---
@@ -80,18 +80,15 @@ struct Welcome {
   std::vector<std::uint8_t> checkpoint;  // Checkpoint::bytes(), shipped once
 
   // The CampaignConfig subset that affects experiment execution. Host-side
-  // policy (workers, observer) stays local to each end.
+  // policy (workers, observer) and the engine tier, which leaves records
+  // byte-identical, stay local to each end.
   std::uint8_t cpu = 0;
   bool switch_to_atomic_after_fault = true;
   bool use_checkpoint = true;
-  bool predecode = true;
-  bool fastpath = true;
-  bool fastmode = true;  // superblock golden-path tier
   std::uint64_t watchdog_mult = 8;
   std::uint64_t campaign_seed = 0;
   double deadline_seconds = 0.0;
   std::uint32_t max_retries = 2;
-  double retry_backoff = 2.0;
 
   // Syscall-fault campaign setup. Plans travel in their canonical
   // grammar lines; the worker re-parses them, so the grammar is the wire

@@ -151,17 +151,6 @@ bool SimpleCpu::atomic_batch_step(BatchResult& br, CommitEvent& ev, std::uint64_
   return true;
 }
 
-BatchResult SimpleCpu::run_atomic_batch(std::uint64_t max_ticks, CommitEvent& ev) {
-  BatchResult br;
-  if (timing_ || hooks_ != nullptr || !fetch_enabled_ || busy_ != 0 || pending_) return br;
-  while (br.ticks < max_ticks)
-    if (!atomic_batch_step(br, ev, 0)) break;
-  stats_.ticks += br.ticks;
-  stats_.fetched += br.ticks;
-  stats_.committed += br.commits;
-  return br;
-}
-
 BatchResult SimpleCpu::run_timing_batch(std::uint64_t max_ticks, std::uint64_t max_commits,
                                         CommitEvent& ev) {
   BatchResult br;

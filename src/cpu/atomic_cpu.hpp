@@ -11,7 +11,7 @@
 
 namespace gemfi::cpu {
 
-/// Result of one SimpleCpu::run_atomic_batch() call.
+/// Result of one SimpleCpu batch call (run_trace_batch / run_timing_batch).
 struct BatchResult {
   std::uint64_t ticks = 0;    // instruction attempts (commits, +1 if trapped)
   std::uint64_t commits = 0;  // instructions that architecturally committed
@@ -26,17 +26,7 @@ class SimpleCpu final : public CpuModel {
 
   CycleResult cycle() override;
 
-  /// Fast dispatch loop of the predecode fast path: execute up to
-  /// `max_ticks` instructions back-to-back, serving Decoded entries straight
-  /// from the predecode cache, without materializing a CycleResult per tick.
-  /// Only engages in atomic mode with no stage hooks attached (the FI
-  /// machinery needs the per-instruction event flow); otherwise returns an
-  /// empty result and the caller falls back to cycle(). Stops early at a
-  /// trap or pseudo-op, describing it in `ev` (stopped == true); a trapping
-  /// instruction consumes a tick but does not commit, exactly like cycle().
-  BatchResult run_atomic_batch(std::uint64_t max_ticks, CommitEvent& ev);
-
-  /// TimingSimple counterpart of run_atomic_batch: retire instructions
+  /// TimingSimple counterpart of run_trace_batch: retire instructions
   /// back-to-back, folding each instruction's charged I-/D-cache latency
   /// into one per-instruction accumulation instead of per-tick busy_
   /// decrements. Batch-boundary rules mirror the per-tick loop exactly:
@@ -50,13 +40,14 @@ class SimpleCpu final : public CpuModel {
   BatchResult run_timing_batch(std::uint64_t max_ticks, std::uint64_t max_commits,
                                CommitEvent& ev);
 
-  /// Superblock (threaded-code) tier above run_atomic_batch: execute up to
+  /// Superblock (threaded-code) tier of the atomic model: execute up to
   /// `max_ticks` instructions through lowered straight-line traces served by
   /// the MemSystem's superblock cache, falling back to single interpreter
   /// steps (atomic_batch_step) for untraceable entries. Tick/commit/trap
-  /// accounting is bit-identical to run_atomic_batch — each instruction is
-  /// one tick, a trapping instruction consumes its tick without committing
-  /// and leaves the architectural PC at the trapping instruction.
+  /// accounting is bit-identical to cycle() — each instruction is one tick,
+  /// a trapping instruction consumes its tick without committing and leaves
+  /// the architectural PC at the trapping instruction. Stops early at a trap
+  /// or pseudo-op, describing it in `ev` (stopped == true).
   ///
   /// The tier itself never calls stage hooks: the caller (Simulation::run)
   /// bounds `max_ticks` by the fault manager's horizon and owns the bulk FI
@@ -93,7 +84,7 @@ class SimpleCpu final : public CpuModel {
   void exec_one(CommitEvent& ev);
 
   /// Shared batch-exit boundary: materialize the stop event every batch
-  /// flavor (atomic, timing, trace) hands back to the simulation loop for
+  /// flavor (timing, trace) hands back to the simulation loop for
   /// its trap / pseudo-op / preemption / watchdog handling.
   static void make_stop_event(CommitEvent& ev, const isa::Decoded* d, std::uint64_t pc,
                               const TrapInfo& trap, bool is_pseudo) noexcept;

@@ -4,7 +4,7 @@
 // traces from the MemSystem's superblock cache. Per instruction it pays one
 // switch dispatch over a flat SbOp — no predecode lookup, no Operands /
 // ExecOut materialization, no accessor indirection — while staying
-// bit-identical to run_atomic_batch in every architectural observable:
+// bit-identical to the per-tick interpreter in every architectural observable:
 // each op is one tick and one commit, a trapping op consumes its tick
 // without committing and leaves the PC at the trapping instruction, and
 // memory accesses flow through the same checked MemSystem calls.

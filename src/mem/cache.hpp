@@ -15,7 +15,7 @@
 // MRU index is a pure accelerator: every observable (hit/miss/writeback
 // counts, LRU ordering, the serialized image) is bit-identical to the scan
 // path, which is what the lockstep fast-lane suite asserts. set_mru_enabled
-// exists solely for `--no-fastpath` A/B measurement.
+// exists solely for the SimConfig::fastpath=false reference.
 #pragma once
 
 #include <cstdint>
@@ -114,7 +114,7 @@ class Cache {
   /// Drop all lines (counts dirty lines as writebacks).
   void flush();
 
-  /// Disable the inline MRU hit path (`--no-fastpath` A/B baseline): every
+  /// Disable the inline MRU hit path (the fastpath=false reference): every
   /// access takes the ways-wide scan, reproducing the pre-fast-lane host
   /// cost. Observables are identical either way.
   void set_mru_enabled(bool enabled) noexcept { mru_enabled_ = enabled; }

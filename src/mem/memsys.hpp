@@ -69,8 +69,8 @@ class MemSystem {
   std::uint32_t data_latency_miss(std::uint64_t addr, bool is_write);
 
   /// Gate for the timing fast lane's memory-side pieces (MRU hit paths in
-  /// all three caches + the fetch line buffer). Off = `--no-fastpath`
-  /// baseline; simulated timing and stats are identical either way.
+  /// all three caches + the fetch line buffer). Off = the
+  /// SimConfig::fastpath reference; simulated timing and stats are identical either way.
   void set_fastpath_enabled(bool enabled) noexcept;
 
   // --- predecoded-instruction fast path ---

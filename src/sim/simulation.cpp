@@ -264,19 +264,19 @@ RunResult Simulation::run(std::uint64_t watchdog_ticks, double wall_deadline_sec
 
   ensure_thread_scheduled();
 
-  // Batched dispatch: with no FI hooks and no commit observer, the simple
-  // models run instructions in batches — no per-tick virtual call,
-  // CycleResult or scheduler bookkeeping. Atomic batches need the predecode
-  // cache (PC-indexed dispatch); TimingSimple batches additionally fold each
-  // instruction's cache-latency stall into one accumulation and belong to
-  // the fastpath gate. Batch boundaries land exactly where the per-tick loop
-  // would act (quantum expiry, watchdog budget, wall-clock sampling points,
-  // traps, pseudo-ops), so the two loops are bit-identical in every
-  // architectural and statistical observable; the lockstep suite checks it.
-  // With fi_enabled the atomic model may additionally batch through the
-  // superblock tier (cfg_.fastmode) up to the FaultManager's horizon — the
-  // instructions that provably precede any armed fault's trigger — with the
-  // fetch-window bookkeeping applied in bulk after the batch. The horizon
+  // Batched dispatch: with no commit observer, the simple models run
+  // instructions in batches — no per-tick virtual call, CycleResult or
+  // scheduler bookkeeping. Atomic batches run through the superblock tier
+  // (cfg_.fastmode, on top of the predecode cache); TimingSimple batches,
+  // with no FI hooks, fold each instruction's cache-latency stall into one
+  // accumulation and belong to the fastpath gate. Batch boundaries land
+  // exactly where the per-tick loop would act (quantum expiry, watchdog
+  // budget, wall-clock sampling points, traps, pseudo-ops), so the loops are
+  // bit-identical in every architectural and statistical observable; the
+  // lockstep and fastmode suites check it. With fi_enabled the atomic batch
+  // is bounded by the FaultManager's horizon — the instructions that
+  // provably precede any armed fault's trigger — with the fetch-window
+  // bookkeeping applied in bulk after the batch. The horizon
   // moves as faults arm, fire and resolve, and the active model itself can
   // switch mid-run, so atomic engagement is re-decided every iteration; the
   // timing gate's inputs are all run-constant.
@@ -327,14 +327,13 @@ RunResult Simulation::run(std::uint64_t watchdog_ticks, double wall_deadline_sec
     // FI compiled in: the fault horizon bounds the atomic batch (0 hands the
     // next instruction to the per-tick interpreter and its hooks), and its
     // watch set ends a trace in front of any instruction a hook must see.
-    // `--no-fastmode` keeps every FI-enabled instruction on the per-tick
-    // loop.
-    bool fast_atomic =
-        cfg_.predecode && !commit_observer_ && active_cpu_ == CpuKind::AtomicSimple;
+    // With fastmode off every atomic instruction runs on the per-tick loop.
+    bool fast_atomic = cfg_.fastmode && cfg_.predecode && !commit_observer_ &&
+                       active_cpu_ == CpuKind::AtomicSimple;
     fi::FaultManager::FastmodeBound bound;
     if (fast_atomic && cfg_.fi_enabled) {
-      if (cfg_.fastmode) bound = fm_.fastmode_horizon(tick_);
-      fast_atomic = cfg_.fastmode && bound.insts != 0;
+      bound = fm_.fastmode_horizon(tick_);
+      fast_atomic = bound.insts != 0;
     }
     if ((fast_atomic || fast_timing) && !drain_for_switch_) {
       std::uint64_t n = std::min(deadline - tick_, bound.insts);
@@ -358,10 +357,9 @@ RunResult Simulation::run(std::uint64_t watchdog_ticks, double wall_deadline_sec
       }
       auto& scpu = static_cast<cpu::SimpleCpu&>(*cpu_);
       cpu::CommitEvent ev;
-      const cpu::BatchResult br =
-          !fast_atomic    ? scpu.run_timing_batch(n, pre, ev)
-          : cfg_.fastmode ? scpu.run_trace_batch(n, ev, bound.watch)
-                          : scpu.run_atomic_batch(n, ev);
+      const cpu::BatchResult br = fast_atomic
+                                      ? scpu.run_trace_batch(n, ev, bound.watch)
+                                      : scpu.run_timing_batch(n, pre, ev);
       tick_ += br.ticks;
       tiers_.trace += br.traced;
       tiers_.batch += br.commits - br.traced;

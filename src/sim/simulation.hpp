@@ -44,12 +44,16 @@ struct SimConfig {
   std::uint64_t stack_bytes = 256 * 1024;
   bool fi_enabled = true;                // false = "unmodified gem5" baseline
   bool switch_to_atomic_after_fault = false;
+  // Engine tiers. Each is purely a host-side optimization, set only in
+  // process: false selects the reference loop that the oracle tests
+  // (lockstep, fastmode, predecode fuzz, campaign determinism) and the
+  // in-process A/B benches compare against. No CLI, wire message or record
+  // carries them.
   bool predecode = true;                 // page-granular predecoded-inst cache
   // Timing-model fast lane: inline MRU cache hits + the fetch line buffer,
-  // stall-cycle warping, and the batched TimingSimple dispatch loop. Purely
-  // a host-side optimization — simulated ticks, outcomes and statistics are
-  // bit-identical either way (the lockstep suite proves it); false is the
-  // `--no-fastpath` A/B baseline.
+  // stall-cycle warping, and the batched TimingSimple dispatch loop.
+  // Simulated ticks, outcomes and statistics are bit-identical either way
+  // (the lockstep suite proves it).
   bool fastpath = true;
   // Fault-horizon fast mode: the superblock (threaded-code) tier above the
   // atomic interpreter. Under FI it runs up to the fault horizon — the
@@ -58,9 +62,9 @@ struct SimConfig {
   // as soon as the fault has fired; while a corrupted register awaits its
   // first read or overwrite, traces stop in front of any instruction naming
   // it. It disengages at every trap, syscall, watchdog deadline and
-  // scheduling boundary. Purely a host-side optimization — digests, ticks,
-  // statistics and fi_log are bit-identical either way (the fastmode
-  // lockstep suite proves it); false is the `--no-fastmode` A/B baseline.
+  // scheduling boundary. Digests, ticks, statistics and fi_log are
+  // bit-identical either way (the fastmode lockstep suite proves it); false
+  // runs every atomic instruction on the per-tick loop.
   bool fastmode = true;
   // OS syscall surface: sys_alloc heap carved above the apps' boot arena,
   // per-file capacity of the in-memory FS (ENOSPC bound) and per-channel

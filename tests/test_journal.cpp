@@ -47,9 +47,8 @@ service::CampaignSpec sample_spec() {
   s.watchdog_mult = 12;
   s.deadline_seconds = 1.5;
   s.max_retries = 4;
-  s.retry_backoff = 3.0;
-  s.predecode = false;
-  s.fastpath = false;
+  s.stop_eps = 0.02;
+  s.stop_conf = 0.95;
   return s;
 }
 
@@ -79,9 +78,8 @@ TEST(Spec, JsonRoundTripPreservesEveryField) {
   EXPECT_EQ(r.watchdog_mult, s.watchdog_mult);
   EXPECT_EQ(r.deadline_seconds, s.deadline_seconds);
   EXPECT_EQ(r.max_retries, s.max_retries);
-  EXPECT_EQ(r.retry_backoff, s.retry_backoff);
-  EXPECT_EQ(r.predecode, s.predecode);
-  EXPECT_EQ(r.fastpath, s.fastpath);
+  EXPECT_EQ(r.stop_eps, s.stop_eps);
+  EXPECT_EQ(r.stop_conf, s.stop_conf);
 }
 
 TEST(Spec, MissingOptionalFieldsKeepDefaults) {
@@ -131,10 +129,31 @@ TEST(Journal, RoundTripRecoversLiveCampaignsAndResults) {
     j.append_result(2, R"({"index":3,"outcome":"Crash"})");
     j.record_terminal(3, service::CampaignState::Cancelled, "");
   }
+  // Campaign 4 as an older build journaled it: its submit line carries the
+  // engine-tier and retry_backoff fields, its calibrated line and result
+  // records a fastmode flag. Those fields are ignored; nothing is lost.
+  append_raw(dir / "campaigns.jsonl",
+             R"({"event":"submit","id":4,"tenant":"carol","name":"","app":"pi",)"
+             R"("paper":false,"scale_seed":1592590337,"experiments":3,"seed":5,)"
+             R"("weight":1,"max_workers":0,"cpu":2,"watchdog_mult":8,"deadline":0,)"
+             R"("retries":2,"retry_backoff":2,"predecode":true,"fastpath":true,)"
+             R"("fastmode":true,"stop_eps":0,"stop_conf":0.98999999999999999})"
+             "\n"
+             R"({"event":"calibrated","id":4,"calib_wall_seconds":0.0437,"fastmode":true})"
+             "\n");
+  const std::string old_result =
+      R"({"index":1,"worker":0,"seed":7958955049054603978,"fault":"PCInjectedFault )"
+      R"(Inst:134428 Flip:49 Threadid:0 system.cpu0 occ:1","location":"PCInjectedFault",)"
+      R"("outcome":"crashed","metric":0,"exit":"crashed","trap":"fetch-fault",)"
+      R"("applied":true,"time_fraction":0.83868633176112406,"sim_ticks":134581,)"
+      R"("wall_seconds":0.019,"fastmode":true,"retries":0,"ckpt_format":"v2",)"
+      R"("restore_pages":0,"restore_bytes":0})";
+  append_raw(dir / "c4.results.jsonl", old_result + "\n");
+
   service::Journal j(dir.string());
   const service::RecoveredJournal& rec = j.recovered();
-  ASSERT_EQ(rec.live.size(), 2u);  // campaign 3 reached a terminal state
-  EXPECT_EQ(rec.next_campaign_id, 4u);
+  ASSERT_EQ(rec.live.size(), 3u);  // campaign 3 reached a terminal state
+  EXPECT_EQ(rec.next_campaign_id, 5u);
   EXPECT_EQ(rec.repaired_files, 0u);
   EXPECT_EQ(rec.skipped_lines, 0u);
 
@@ -145,10 +164,16 @@ TEST(Journal, RoundTripRecoversLiveCampaignsAndResults) {
   EXPECT_EQ(rec.live[1].spec.tenant, "bob");
   EXPECT_EQ(rec.live[1].spec.campaign_seed, 7u);
   EXPECT_EQ(rec.live[1].done_indices, (std::vector<std::uint64_t>{3}));
+  EXPECT_EQ(rec.live[2].id, 4u);
+  EXPECT_EQ(rec.live[2].spec.tenant, "carol");
+  EXPECT_EQ(rec.live[2].spec.experiments, 3u);
+  EXPECT_EQ(rec.live[2].spec.campaign_seed, 5u);
+  EXPECT_EQ(rec.live[2].done_indices, (std::vector<std::uint64_t>{1}));
 
   const auto lines = j.read_result_lines(1);
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_EQ(lines[0], R"({"index":0,"outcome":"Masked"})");
+  EXPECT_EQ(j.read_result_lines(4), (std::vector<std::string>{old_result}));
   fs::remove_all(dir);
 }
 
@@ -223,7 +248,10 @@ TEST(Control, SubmitRoundTrip) {
   EXPECT_EQ(r.max_workers, s.max_workers);
   EXPECT_EQ(r.cpu, s.cpu);
   EXPECT_EQ(r.deadline_seconds, s.deadline_seconds);
-  EXPECT_EQ(r.fastpath, s.fastpath);
+  EXPECT_EQ(r.watchdog_mult, s.watchdog_mult);
+  EXPECT_EQ(r.max_retries, s.max_retries);
+  EXPECT_EQ(r.stop_eps, s.stop_eps);
+  EXPECT_EQ(r.stop_conf, s.stop_conf);
 }
 
 TEST(Control, RepliesRoundTrip) {
