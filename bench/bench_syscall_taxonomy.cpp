@@ -46,10 +46,10 @@ struct BehaviorRow {
 };
 
 std::string with_index(const char* plan, std::uint64_t idx) {
-  std::string s(plan);
+  const std::string s(plan);
   const auto pos = s.find("%IDX");
-  if (pos != std::string::npos) s.replace(pos, 4, std::to_string(idx));
-  return s;
+  if (pos == std::string::npos) return s;
+  return s.substr(0, pos) + std::to_string(idx) + s.substr(pos + 4);
 }
 
 }  // namespace

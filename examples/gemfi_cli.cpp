@@ -47,7 +47,6 @@
 //                                      below EPS at CONF (default 0.99)
 //             [--autoscale=MIN:MAX]    grow/retire forked workers elastically
 //                                      from the dispatch backlog
-//             [--colstore=<file.gfcs>] columnar result store for gemfi_query
 //   gemfi_cli --app=<name> --replay=<index> --seed=<u64> [--record=<file.jsonl>]
 //             re-run one campaign experiment in isolation from its JSONL
 //             record's (seed, index); prints the record to stdout. With
@@ -78,7 +77,6 @@
 #include <string>
 
 #include "assembler/text_asm.hpp"
-#include "campaign/analytics/colstore.hpp"
 #include "campaign/dispatch.hpp"
 #include "campaign/observer.hpp"
 #include "campaign/runner.hpp"
@@ -98,7 +96,6 @@ namespace {
                "           [--retries=<k>] [--now-local=<n>] [--slots=<k>]\n"
                "           [--stop-ci=EPS[@CONF]] "
                "[--autoscale=MIN:MAX]\n"
-               "           [--colstore=<file.gfcs>]\n"
                "           [--syscall-fault=<line>] [--random-syscall-faults]\n"
                "       %s --app=<name> --replay=<index> --seed=<u64> "
                "[--record=<file.jsonl>]\n",
@@ -178,7 +175,6 @@ int main(int argc, char** argv) {
   std::string record_path;  // --replay: original campaign JSONL to check against
   unsigned workers = 1;
   unsigned now_local = 0;
-  std::string colstore_path;  // --colstore: columnar result store
   campaign::StopPolicy stop_policy;
   unsigned autoscale_min = 0, autoscale_max = 0;
   unsigned slots = 1;
@@ -237,8 +233,6 @@ int main(int argc, char** argv) {
       autoscale_min = parse_u32_flag("autoscale", spec.substr(0, colon));
       autoscale_max = parse_u32_flag("autoscale", spec.substr(colon + 1));
       if (autoscale_max < autoscale_min) usage(argv[0]);
-    } else if (arg.rfind("--colstore=", 0) == 0) {
-      colstore_path = arg.substr(11);
     } else if (arg.rfind("--slots=", 0) == 0) {
       slots = parse_u32_flag("slots", arg.substr(8));
     } else if (arg.rfind("--retries=", 0) == 0) {
@@ -402,7 +396,6 @@ int main(int argc, char** argv) {
   if (campaign_n != 0) {
     campaign::TeeObserver tee;
     std::unique_ptr<campaign::JsonlSink> sink;
-    std::unique_ptr<campaign::ColstoreSink> colstore;
     std::unique_ptr<campaign::ProgressPrinter> reporter;
     if (!out_path.empty()) {
       try {
@@ -415,15 +408,6 @@ int main(int argc, char** argv) {
       // stream's first record.
       sink->write_line(campaign::calibration_record_to_json(app_name, ca));
       tee.add(sink.get());
-    }
-    if (!colstore_path.empty()) {
-      try {
-        colstore = std::make_unique<campaign::ColstoreSink>(colstore_path);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 2;
-      }
-      tee.add(colstore.get());
     }
     if (progress) {
       reporter = std::make_unique<campaign::ProgressPrinter>(stderr);
@@ -495,17 +479,6 @@ int main(int argc, char** argv) {
     if (sink)
       std::fprintf(stderr, "wrote %zu records to %s\n", sink->lines_written(),
                    out_path.c_str());
-    if (colstore) {
-      try {
-        colstore->finish();
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 2;
-      }
-      std::fprintf(stderr, "wrote %llu rows to %s\n",
-                   (unsigned long long)colstore->rows_written(),
-                   colstore_path.c_str());
-    }
     return 0;
   }
 

@@ -12,7 +12,6 @@
 //       [--slots=<k>]          slots for the forked loopback workers
 //       [--worker-timeout=<s>] silence before a worker is declared dead
 //       [--out=<file.jsonl>] [--progress]
-//       [--colstore=<file.gfcs>] columnar result store for gemfi_query
 //       [--stop-ci=EPS[@CONF]] sequential early stop: end the campaign once
 //                              every outcome CI half-width is below EPS at
 //                              CONF confidence (default 0.99); deterministic
@@ -28,7 +27,6 @@
 #include <memory>
 #include <string>
 
-#include "campaign/analytics/colstore.hpp"
 #include "campaign/dispatch.hpp"
 #include "campaign/observer.hpp"
 #include "campaign/runner.hpp"
@@ -46,8 +44,7 @@ namespace {
                "           [--worker-timeout=<s>]\n"
                "           [--out=<file.jsonl>] [--progress] [--cpu=atomic|timing|"
                "pipelined]\n"
-               "           [--colstore=<file.gfcs>] [--stop-ci=EPS[@CONF]]\n"
-               "           [--autoscale=MIN:MAX]\n"
+               "           [--stop-ci=EPS[@CONF]] [--autoscale=MIN:MAX]\n"
                "           [--paper] [--deadline=<s>] [--retries=<k>]\n"
                "           [--watchdog-mult=<k>]\n",
                argv0);
@@ -57,7 +54,7 @@ namespace {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string app_name, out_path, colstore_path;
+  std::string app_name, out_path;
   apps::AppScale scale;
   campaign::CampaignConfig cfg;
   campaign::DispatchConfig dcfg;
@@ -85,7 +82,6 @@ int main(int argc, char** argv) {
     else if (arg.rfind("--worker-timeout=", 0) == 0)
       dcfg.worker_timeout_s = parse_f64_flag("worker-timeout", arg.substr(17));
     else if (arg.rfind("--out=", 0) == 0) out_path = arg.substr(6);
-    else if (arg.rfind("--colstore=", 0) == 0) colstore_path = arg.substr(11);
     else if (arg.rfind("--stop-ci=", 0) == 0) {
       try {
         dcfg.stop = campaign::parse_stop_ci(arg.substr(10));
@@ -132,7 +128,6 @@ int main(int argc, char** argv) {
 
   campaign::TeeObserver tee;
   std::unique_ptr<campaign::JsonlSink> sink;
-  std::unique_ptr<campaign::ColstoreSink> colstore;
   std::unique_ptr<campaign::ProgressPrinter> reporter;
   if (!out_path.empty()) {
     try {
@@ -143,15 +138,6 @@ int main(int argc, char** argv) {
     }
     sink->write_line(campaign::calibration_record_to_json(app_name, ca));
     tee.add(sink.get());
-  }
-  if (!colstore_path.empty()) {
-    try {
-      colstore = std::make_unique<campaign::ColstoreSink>(colstore_path);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 2;
-    }
-    tee.add(colstore.get());
   }
   if (progress) {
     reporter = std::make_unique<campaign::ProgressPrinter>(stderr);
@@ -183,7 +169,6 @@ int main(int argc, char** argv) {
 
     const campaign::DispatchReport dr = master.run();
     pool.wait_all();
-    if (colstore) colstore->finish();
 
     std::fprintf(stderr,
                  "NoW service: %zu/%zu experiments in %.2fs — %u workers joined, "

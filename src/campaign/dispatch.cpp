@@ -105,12 +105,8 @@ struct Master::Impl final : Fleet {
   }
 
   void on_record(Lane& /*lane*/, const ExperimentRecord& rec) override {
-    const ExperimentResult& er = rec.result;
-    ++stats.campaign.counts[std::size_t(er.classification.outcome)];
-    ++stats.campaign.syscall_counts[std::size_t(er.syscall_class.outcome)];
-    if (er.syscall_class.cascade_len > stats.campaign.max_cascade)
-      stats.campaign.max_cascade = er.syscall_class.cascade_len;
-    stats.experiment_wall_seconds += er.wall_seconds;
+    stats.campaign.add(rec.result);
+    stats.experiment_wall_seconds += rec.result.wall_seconds;
     if (cfg.observer) cfg.observer->on_experiment(rec);
   }
 
@@ -266,10 +262,6 @@ class WorkerSession {
     return dropped;
   }
 
-  [[nodiscard]] unsigned busy_slots() const noexcept {
-    return busy_.load(std::memory_order_relaxed);
-  }
-
  private:
   void slot_main() {
     // One persistent Simulation per slot (the shared-baseline fast restore),
@@ -284,7 +276,6 @@ class WorkerSession {
         item = std::move(in_.front());
         in_.pop_front();
       }
-      busy_.fetch_add(1, std::memory_order_relaxed);
       wire::ResultMsg msg;
       msg.index = item.first;
       try {
@@ -299,7 +290,6 @@ class WorkerSession {
         msg.result.exit_reason = sim::ExitReason::Crashed;
         msg.result.classification.outcome = apps::Outcome::Crashed;
       }
-      busy_.fetch_sub(1, std::memory_order_relaxed);
       {
         std::lock_guard lock(mutex_);
         out_.push_back(std::move(msg));
@@ -316,7 +306,6 @@ class WorkerSession {
   bool stop_ = false;
   std::deque<std::pair<std::uint64_t, fi::Fault>> in_;
   std::deque<wire::ResultMsg> out_;
-  std::atomic<unsigned> busy_{0};
 
   std::vector<std::thread> threads_;
 };
@@ -353,7 +342,6 @@ SessionEnd serve_connection(net::TcpConn& conn, const WorkerConfig& wcfg) {
 
   WorkerSession session(*welcome, wcfg.slots);
   double last_heartbeat = 0.0;
-  std::uint64_t heartbeat_seq = 0;
   bool shutdown = false;
 
   while (!shutdown) {
@@ -392,9 +380,7 @@ SessionEnd serve_connection(net::TcpConn& conn, const WorkerConfig& wcfg) {
     const double now = mono_seconds();
     if (now - last_heartbeat >= kHeartbeatIntervalS) {
       last_heartbeat = now;
-      conn.send_all(frame_for(
-          wire::MsgType::Heartbeat,
-          wire::encode_heartbeat({heartbeat_seq++, session.busy_slots()})));
+      conn.send_all(frame_for(wire::MsgType::Heartbeat));
     }
 
     if (!conn.wait_readable(kResultFlushS)) continue;

@@ -155,7 +155,8 @@ void Fleet::handle_frame(Peer& p, const net::Frame& f) {
       return;
     }
     case wire::MsgType::Heartbeat:
-      wire::decode_heartbeat(f.payload);  // liveness is any valid frame
+      // Liveness is any valid frame; a Heartbeat carries nothing.
+      if (!f.payload.empty()) throw util::DeserializeError("payload in Heartbeat");
       return;
     case wire::MsgType::CancelAck: {
       // Queued experiments the worker dropped on CancelQueue: no result will

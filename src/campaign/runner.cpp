@@ -1,5 +1,6 @@
 #include "campaign/runner.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <chrono>
@@ -439,6 +440,12 @@ ExperimentResult ExperimentWorker::run_with_retry(const fi::Fault& fault,
       [&] { sim_.reset(); });
 }
 
+void CampaignReport::add(const ExperimentResult& er) noexcept {
+  ++counts[std::size_t(er.classification.outcome)];
+  ++syscall_counts[std::size_t(er.syscall_class.outcome)];
+  max_cascade = std::max(max_cascade, er.syscall_class.cascade_len);
+}
+
 std::size_t CampaignReport::total() const noexcept {
   std::size_t n = 0;
   for (const std::size_t c : counts) n += c;
@@ -488,12 +495,7 @@ CampaignReport run_campaign(const CalibratedApp& ca, const std::vector<fi::Fault
     for (auto& t : pool) t.join();
   }
 
-  for (const ExperimentResult& er : report.results) {
-    ++report.counts[std::size_t(er.classification.outcome)];
-    ++report.syscall_counts[std::size_t(er.syscall_class.outcome)];
-    if (er.syscall_class.cascade_len > report.max_cascade)
-      report.max_cascade = er.syscall_class.cascade_len;
-  }
+  for (const ExperimentResult& er : report.results) report.add(er);
   report.wall_seconds = seconds_since(t0);
   if (obs) obs->on_campaign_end(report);
   return report;

@@ -253,6 +253,9 @@ struct CampaignReport {
   std::array<std::size_t, kNumSyscallOutcomes> syscall_counts{};
   unsigned max_cascade = 0;  // longest observed failure chain
 
+  /// Tally one result into counts, syscall_counts and max_cascade.
+  void add(const ExperimentResult& er) noexcept;
+
   [[nodiscard]] std::size_t total() const noexcept;
   [[nodiscard]] double fraction(apps::Outcome o) const noexcept;
 };

@@ -271,22 +271,6 @@ ResultMsg decode_result(std::span<const std::uint8_t> payload) {
   return msg;
 }
 
-std::vector<std::uint8_t> encode_heartbeat(const Heartbeat& hb) {
-  ByteWriter w;
-  w.put_u64(hb.sequence);
-  w.put_u32(hb.busy_slots);
-  return w.take();
-}
-
-Heartbeat decode_heartbeat(std::span<const std::uint8_t> payload) {
-  ByteReader r(payload);
-  Heartbeat hb;
-  hb.sequence = r.get_u64();
-  hb.busy_slots = r.get_u32();
-  if (!r.at_end()) throw DeserializeError("trailing bytes in Heartbeat");
-  return hb;
-}
-
 std::vector<std::uint8_t> encode_cancel_ack(const CancelAck& ack) {
   ByteWriter w;
   w.put_u32(std::uint32_t(ack.dropped.size()));

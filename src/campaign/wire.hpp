@@ -24,7 +24,7 @@ namespace gemfi::campaign::wire {
 
 /// Every peer is built from this tree, so a Hello with any other version is
 /// rejected.
-inline constexpr std::uint32_t kProtocolVersion = 7;
+inline constexpr std::uint32_t kProtocolVersion = 8;
 
 enum class MsgType : std::uint8_t {
   // --- worker plane ---
@@ -32,7 +32,7 @@ enum class MsgType : std::uint8_t {
   Welcome = 2,    // master -> worker: campaign config + calibration + checkpoint
   Batch = 3,      // master -> worker: experiment (index, fault) pairs
   Result = 4,     // worker -> master: one finished experiment
-  Heartbeat = 5,  // worker -> master: liveness + busy-slot count
+  Heartbeat = 5,  // worker -> master: liveness (empty payload)
   Shutdown = 6,   // master -> worker: campaign over, exit after current work
 
   // --- sequential early-stop plane ---
@@ -114,11 +114,6 @@ struct ResultMsg {
   ExperimentResult result;
 };
 
-struct Heartbeat {
-  std::uint64_t sequence = 0;
-  std::uint32_t busy_slots = 0;
-};
-
 /// CancelAck payload: the queued experiment indices the worker dropped in
 /// response to CancelQueue. (CancelQueue itself carries an empty payload.)
 struct CancelAck {
@@ -130,7 +125,6 @@ std::vector<std::uint8_t> encode_hello(const Hello& h);
 std::vector<std::uint8_t> encode_welcome(const Welcome& w);
 std::vector<std::uint8_t> encode_batch(const std::vector<BatchItem>& items);
 std::vector<std::uint8_t> encode_result(const ResultMsg& r);
-std::vector<std::uint8_t> encode_heartbeat(const Heartbeat& hb);
 std::vector<std::uint8_t> encode_cancel_ack(const CancelAck& ack);
 
 // --- decoders; throw util::DeserializeError / std::invalid_argument on
@@ -139,7 +133,6 @@ Hello decode_hello(std::span<const std::uint8_t> payload);
 Welcome decode_welcome(std::span<const std::uint8_t> payload);
 std::vector<BatchItem> decode_batch(std::span<const std::uint8_t> payload);
 ResultMsg decode_result(std::span<const std::uint8_t> payload);
-Heartbeat decode_heartbeat(std::span<const std::uint8_t> payload);
 CancelAck decode_cancel_ack(std::span<const std::uint8_t> payload);
 
 /// ExperimentResult as a bytesio stream (shared by Result messages and any

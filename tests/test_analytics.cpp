@@ -1,27 +1,21 @@
 // Unit tests for the streaming campaign analytics layer: the Aggregator's
 // online counts and confidence intervals, the determinism of the sequential
-// stop rule under adversarial arrival orders, the Autoscaler's watermark
-// hysteresis, and the columnar result store's round-trip and truncation
-// rejection. Everything here is synthetic — no simulator, no sockets — so
+// stop rule under adversarial arrival orders and the Autoscaler's watermark
+// hysteresis. Everything here is synthetic — no simulator, no sockets — so
 // the properties are tested in isolation from scheduling noise.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <random>
 #include <vector>
 
 #include "campaign/analytics/aggregator.hpp"
-#include "campaign/analytics/colstore.hpp"
 #include "campaign/dispatch.hpp"
 #include "campaign/runner.hpp"
-#include "util/bytesio.hpp"
 #include "util/stats.hpp"
 
 using namespace gemfi;
-namespace fs = std::filesystem;
 
 namespace {
 
@@ -285,113 +279,4 @@ TEST(Autoscaler, DisabledPolicyNeverActs) {
   const auto d = sc.tick(0.0, 1000, 1, 1);
   EXPECT_EQ(d.spawn, 0u);
   EXPECT_EQ(d.retire, 0u);
-}
-
-// --- Colstore ---
-
-namespace {
-
-std::vector<campaign::ColstoreRow> synthetic_rows(std::size_t n) {
-  std::vector<campaign::ColstoreRow> rows;
-  rows.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    campaign::ColstoreRow r;
-    r.index = i * 977;  // forces wider packed-int widths as i grows
-    r.worker = std::uint32_t(i % 5);
-    r.seed = campaign::experiment_seed(7, i);
-    r.outcome = std::uint8_t(i % apps::kNumOutcomes);
-    r.location = std::uint8_t(i % fi::kNumFaultLocations);
-    r.behavior = std::uint8_t(i % 3);
-    r.family = std::uint8_t(i % fi::kNumFaultModelKinds);
-    r.applied = (i % 3) != 0;
-    r.retries = std::uint32_t(i % 2);
-    r.time_fraction = double(i % 100) / 100.0;
-    r.metric = (i % 7 == 0 ? -1.0 : 1.0) * double(i) * 0.125;
-    r.sim_ticks = (std::uint64_t(1) << (i % 40)) + i;
-    rows.push_back(r);
-  }
-  return rows;
-}
-
-fs::path temp_store(const char* tag) {
-  return fs::temp_directory_path() /
-         (std::string("gemfi_colstore_") + tag + "_" + std::to_string(::getpid()) +
-          ".gfcs");
-}
-
-}  // namespace
-
-TEST(Colstore, RoundTripsAcrossMultipleRowGroups) {
-  const auto rows = synthetic_rows(1000);
-  const fs::path path = temp_store("roundtrip");
-  {
-    campaign::ColstoreWriter w(path.string(), /*rows_per_group=*/64);
-    for (const auto& r : rows) w.append(r);
-    w.finish();
-    EXPECT_EQ(w.rows_written(), rows.size());
-  }
-
-  const auto store = campaign::read_colstore(path.string());
-  ASSERT_EQ(store.rows.size(), rows.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& a = rows[i];
-    const auto& b = store.rows[i];
-    EXPECT_EQ(a.index, b.index);
-    EXPECT_EQ(a.worker, b.worker);
-    EXPECT_EQ(a.seed, b.seed);
-    EXPECT_EQ(a.outcome, b.outcome);
-    EXPECT_EQ(a.location, b.location);
-    EXPECT_EQ(a.behavior, b.behavior);
-    EXPECT_EQ(a.family, b.family);
-    EXPECT_EQ(a.applied, b.applied);
-    EXPECT_EQ(a.retries, b.retries);
-    EXPECT_DOUBLE_EQ(a.time_fraction, b.time_fraction);
-    EXPECT_DOUBLE_EQ(a.metric, b.metric);
-    EXPECT_EQ(a.sim_ticks, b.sim_ticks);
-  }
-  // Self-describing: the footer dictionaries carry every enum name.
-  EXPECT_EQ(store.outcome_names.size(), apps::kNumOutcomes);
-  EXPECT_EQ(store.location_names.size(), fi::kNumFaultLocations);
-  EXPECT_EQ(store.family_names.size(), fi::kNumFaultModelKinds);
-  fs::remove(path);
-}
-
-TEST(Colstore, EmptyStoreRoundTrips) {
-  const fs::path path = temp_store("empty");
-  {
-    campaign::ColstoreWriter w(path.string());
-    w.finish();
-  }
-  const auto store = campaign::read_colstore(path.string());
-  EXPECT_TRUE(store.rows.empty());
-  EXPECT_EQ(store.outcome_names.size(), apps::kNumOutcomes);
-  fs::remove(path);
-}
-
-// Truncation fuzz: every proper prefix of a valid store must be rejected by
-// the magic/CRC/bounds checks — never decoded as a shorter-but-plausible
-// store and never crash.
-TEST(Colstore, EveryTruncationIsRejected) {
-  const auto rows = synthetic_rows(100);
-  const fs::path path = temp_store("trunc");
-  {
-    campaign::ColstoreWriter w(path.string(), /*rows_per_group=*/16);
-    for (const auto& r : rows) w.append(r);
-    w.finish();
-  }
-  std::ifstream is(path, std::ios::binary);
-  std::vector<std::uint8_t> image((std::istreambuf_iterator<char>(is)),
-                                  std::istreambuf_iterator<char>());
-  is.close();
-  fs::remove(path);
-  ASSERT_GT(image.size(), 64u);
-
-  // The full image decodes; every prefix throws.
-  EXPECT_EQ(campaign::decode_colstore(image).rows.size(), rows.size());
-  for (std::size_t len = 0; len < image.size(); ++len) {
-    EXPECT_THROW(campaign::decode_colstore(
-                     std::span<const std::uint8_t>(image.data(), len)),
-                 util::DeserializeError)
-        << "prefix of " << len << " bytes was not rejected";
-  }
 }

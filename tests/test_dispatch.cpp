@@ -247,6 +247,12 @@ TEST(Dispatch, GarbageAndTruncatedPeersDontCrashMaster) {
       for (const std::uint8_t b : {0xFF, 0xFF, 0xFF, 0x7F}) header.push_back(b);
       for (int i = 0; i < 4; ++i) header.push_back(0);  // crc
       oversized.send_all(header);
+
+      // Peer 4: a valid Hello, then a Heartbeat carrying a payload byte.
+      auto chatty = net::TcpConn::connect("127.0.0.1", port, 10, 0.05);
+      chatty.send_all(net::encode_frame(
+          1, campaign::wire::encode_hello({campaign::wire::kProtocolVersion, 1})));
+      chatty.send_all(net::encode_frame(5, std::vector<std::uint8_t>{0}));
       std::this_thread::sleep_for(std::chrono::milliseconds(200));
     } catch (const std::exception&) {
       // A hostile peer being dropped mid-send is the master working.

@@ -226,9 +226,9 @@ TEST(Wire, BatchRoundTripAndLimits) {
 }
 
 TEST(Wire, DecodersRejectTrailingBytes) {
-  auto payload = wire::encode_heartbeat({1, 2});
+  auto payload = wire::encode_hello({wire::kProtocolVersion, 2});
   payload.push_back(0);
-  EXPECT_THROW(wire::decode_heartbeat(payload), util::DeserializeError);
+  EXPECT_THROW(wire::decode_hello(payload), util::DeserializeError);
 }
 
 TEST(Wire, WelcomeRebuildsCalibratedApp) {
