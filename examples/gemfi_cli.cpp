@@ -35,18 +35,22 @@
 //             [--progress]             periodic progress lines on stderr
 //             [--deadline=<sec>]       wall-clock deadline per experiment
 //             [--retries=<k>]          retries on simulator-internal errors
-//             [--now-local=<n>]        run the campaign through the NoW
-//                                      dispatch service with n forked
-//                                      loopback worker processes (instead of
-//                                      in-process threads); see also
-//                                      gemfi_now_master / gemfi_now_worker
-//                                      for campaigns spanning real hosts
+//   NoW master (paper Sec. III-E): with any of the flags below the campaign
+//   is served over TCP to gemfi_now_worker processes instead of running on
+//   in-process threads; each worker gets the checkpoint once and streams its
+//   results back. Exit 0 when complete or stopped early, 3 when drained
+//   short (^C), 2 on error.
+//             [--now-local=<n>]        fork n loopback worker processes
 //             [--slots=<k>]            experiment slots per --now-local worker
+//             [--bind=<addr>]          listen address (default 127.0.0.1;
+//                                      0.0.0.0 to serve a real cluster)
+//             [--port=<p>]             listen port (default 0 = ephemeral,
+//                                      printed with a gemfi_now_worker hint)
+//             [--worker-timeout=<s>]   silence before a worker is declared dead
 //             [--stop-ci=EPS[@CONF]]   sequential early stop: end the campaign
 //                                      once every outcome CI half-width is
-//                                      below EPS at CONF (default 0.99)
-//             [--autoscale=MIN:MAX]    grow/retire forked workers elastically
-//                                      from the dispatch backlog
+//                                      below EPS at CONF (default 0.99);
+//                                      deterministic across worker counts
 //   gemfi_cli --app=<name> --replay=<index> --seed=<u64> [--record=<file.jsonl>]
 //             re-run one campaign experiment in isolation from its JSONL
 //             record's (seed, index); prints the record to stdout. With
@@ -65,9 +69,12 @@
 //   ./gemfi_cli --app=dct --faults=f.cfg --log
 //   ./gemfi_cli --app=dct --campaign=100 --seed=7 --workers=4
 //       --out=results.jsonl --progress
+//   ./gemfi_cli --app=dct --campaign=2500 --bind=0.0.0.0 --port=7000 --out=r.jsonl
+//       (then on each host: gemfi_now_worker --host=<master> --port=7000 --slots=4)
 //   ./gemfi_cli --app=dct --replay=17 --seed=7
 #include <cctype>
 #include <cerrno>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -93,10 +100,10 @@ namespace {
                "pipelined] [--paper] [--watchdog-mult=<k>] [--log]\n"
                "       %s --app=<name> --campaign=<n> [--seed=<u64>] [--workers=<k>]\n"
                "           [--out=<file.jsonl>] [--progress] [--deadline=<sec>]\n"
-               "           [--retries=<k>] [--now-local=<n>] [--slots=<k>]\n"
-               "           [--stop-ci=EPS[@CONF]] "
-               "[--autoscale=MIN:MAX]\n"
-               "           [--syscall-fault=<line>] [--random-syscall-faults]\n"
+               "           [--retries=<k>] [--syscall-fault=<line>] "
+               "[--random-syscall-faults]\n"
+               "           [--stop-ci=EPS[@CONF]] [--now-local=<n>] [--slots=<k>]\n"
+               "           [--bind=<addr>] [--port=<p>] [--worker-timeout=<s>]\n"
                "       %s --app=<name> --replay=<index> --seed=<u64> "
                "[--record=<file.jsonl>]\n",
                argv0, argv0, argv0);
@@ -105,6 +112,7 @@ namespace {
 
 using cliflags::bad_value;
 using cliflags::parse_f64_flag;
+using cliflags::parse_u16_flag;
 using cliflags::parse_u32_flag;
 using cliflags::parse_u64_flag;
 
@@ -175,8 +183,10 @@ int main(int argc, char** argv) {
   std::string record_path;  // --replay: original campaign JSONL to check against
   unsigned workers = 1;
   unsigned now_local = 0;
-  campaign::StopPolicy stop_policy;
-  unsigned autoscale_min = 0, autoscale_max = 0;
+  // NoW master settings: --stop-ci, --bind, --port, --worker-timeout.
+  campaign::DispatchConfig dcfg;
+  dcfg.handle_sigint = true;  // ^C drains gracefully, partial JSONL survives
+  bool serve = false;
   unsigned slots = 1;
   unsigned retries = 2;
   double deadline = 0.0;
@@ -221,18 +231,19 @@ int main(int argc, char** argv) {
       now_local = parse_u32_flag("now-local", arg.substr(12));
     } else if (arg.rfind("--stop-ci=", 0) == 0) {
       try {
-        stop_policy = campaign::parse_stop_ci(arg.substr(10));
+        dcfg.stop = campaign::parse_stop_ci(arg.substr(10));
       } catch (const std::exception& e) {
         std::fprintf(stderr, "%s\n", e.what());
         return 2;
       }
-    } else if (arg.rfind("--autoscale=", 0) == 0) {
-      const std::string spec = arg.substr(12);
-      const auto colon = spec.find(':');
-      if (colon == std::string::npos) usage(argv[0]);
-      autoscale_min = parse_u32_flag("autoscale", spec.substr(0, colon));
-      autoscale_max = parse_u32_flag("autoscale", spec.substr(colon + 1));
-      if (autoscale_max < autoscale_min) usage(argv[0]);
+    } else if (arg.rfind("--bind=", 0) == 0) {
+      dcfg.bind_address = arg.substr(7);
+      serve = true;
+    } else if (arg.rfind("--port=", 0) == 0) {
+      dcfg.port = parse_u16_flag("port", arg.substr(7));
+      serve = true;
+    } else if (arg.rfind("--worker-timeout=", 0) == 0) {
+      dcfg.worker_timeout_s = parse_f64_flag("worker-timeout", arg.substr(17));
     } else if (arg.rfind("--slots=", 0) == 0) {
       slots = parse_u32_flag("slots", arg.substr(8));
     } else if (arg.rfind("--retries=", 0) == 0) {
@@ -249,9 +260,10 @@ int main(int argc, char** argv) {
   }
   if (app_name.empty() == program_path.empty()) usage(argv[0]);  // exactly one
   if (campaign_n != 0 && replay_index >= 0) usage(argv[0]);
-  // Early stopping and elasticity live in the NoW dispatch layer; they need
-  // the multi-process path.
-  if ((stop_policy.enabled() || autoscale_max > 0) && now_local == 0) usage(argv[0]);
+  // The NoW master serves the campaign when it forks workers or listens on a
+  // chosen address; early stopping lives in its dispatch layer.
+  const bool now = now_local > 0 || serve;
+  if (dcfg.stop.enabled() && !now) usage(argv[0]);
 
   std::vector<fi::Fault> faults;
   if (!fault_path.empty()) {
@@ -418,47 +430,54 @@ int main(int argc, char** argv) {
     const auto fset = campaign::seeded_fault_set(campaign_seed, std::size_t(campaign_n),
                                                  ca.kernel_fetches);
     campaign::CampaignReport report;
-    if (now_local > 0) {
-      // True multi-process NoW mode: a master plus forked loopback worker
-      // processes, each rebuilding the app from the shipped checkpoint.
-      campaign::DispatchConfig dcfg;
-      dcfg.handle_sigint = true;  // ^C drains gracefully, partial JSONL survives
-      dcfg.stop = stop_policy;
-      dcfg.autoscale.min_workers = autoscale_min;
-      dcfg.autoscale.max_workers = autoscale_max;
+    int rc = 0;
+    if (now) {
       campaign::DispatchReport dr;
+      campaign::LocalWorkerPool pool;
       try {
-        dr = campaign::run_campaign_service_local(ca, scale, fset, cfg, now_local,
-                                                  slots == 0 ? 1 : slots, dcfg);
+        campaign::Master master(ca, scale, fset, cfg, dcfg);
+        std::fprintf(stderr, "master listening on %s:%u — start workers with:\n",
+                     dcfg.bind_address.c_str(), unsigned(master.port()));
+        std::fprintf(stderr,
+                     "  gemfi_now_worker --host=<this-host> --port=%u --slots=<k>\n",
+                     unsigned(master.port()));
+        if (now_local > 0)
+          pool = campaign::LocalWorkerPool::spawn(now_local, master.port(), slots);
+        dr = master.run();
+        pool.wait_all();
       } catch (const std::exception& e) {
         std::fprintf(stderr, "%s\n", e.what());
+        for (std::size_t i = 0; i < pool.pids().size(); ++i) pool.kill_worker(i, SIGKILL);
+        pool.wait_all();
         return 2;
       }
       report = dr.campaign;
       std::fprintf(stderr,
-                   "NoW service: %zu/%zu experiments, %u workers joined, %u lost, "
-                   "%llu requeued, %llu duplicates dropped, %.1f KiB checkpoint shipped%s\n",
-                   dr.completed, fset.size(), dr.workers_joined, dr.workers_lost,
-                   (unsigned long long)dr.requeued,
+                   "NoW service: %zu/%zu experiments in %.2fs — %u workers joined, "
+                   "%u lost, %llu requeued, %llu duplicates, "
+                   "%.1f KiB checkpoint shipped%s\n",
+                   dr.completed, fset.size(), dr.wall_seconds, dr.workers_joined,
+                   dr.workers_lost, (unsigned long long)dr.requeued,
                    (unsigned long long)dr.duplicate_results,
                    double(dr.checkpoint_bytes_shipped) / 1024.0,
                    dr.drained_early ? " (drained early)" : "");
       if (dr.stopped_early)
         std::fprintf(stderr,
-                     "sequential stop at prefix %llu/%zu (%llu cancelled, "
-                     "%u workers spawned, %u retired)\n",
+                     "sequential stop: rule satisfied at prefix %llu/%zu "
+                     "(%llu queued experiments cancelled)\n",
                      (unsigned long long)dr.stop_index, fset.size(),
-                     (unsigned long long)dr.cancelled, dr.workers_spawned,
-                     dr.workers_retired);
+                     (unsigned long long)dr.cancelled);
       if (!dr.aggregate_summary.empty())
         std::printf("%s\n", dr.aggregate_summary.c_str());
+      // A sequential stop is a successful campaign: the answer is in, within
+      // the requested error bound, with the tail of the fault list unspent.
+      if (dr.completed != fset.size() && !dr.stopped_early) rc = 3;
     } else {
       report = campaign::run_campaign(ca, fset, cfg);
+      std::fprintf(stderr, "campaign: %zu experiments in %.2fs (%u workers, seed %llu)\n",
+                   report.total(), report.wall_seconds, cfg.workers,
+                   (unsigned long long)campaign_seed);
     }
-    std::fprintf(stderr, "campaign: %zu experiments in %.2fs (%u workers, seed %llu)\n",
-                 report.total(), report.wall_seconds,
-                 now_local > 0 ? now_local : cfg.workers,
-                 (unsigned long long)campaign_seed);
     for (unsigned o = 0; o < apps::kNumOutcomes; ++o) {
       const auto outcome = static_cast<apps::Outcome>(o);
       std::printf("%-16s %6zu  %5.1f%%\n", apps::outcome_name(outcome),
@@ -479,7 +498,7 @@ int main(int argc, char** argv) {
     if (sink)
       std::fprintf(stderr, "wrote %zu records to %s\n", sink->lines_written(),
                    out_path.c_str());
-    return 0;
+    return rc;
   }
 
   if (faults.empty() && syscall_plans.empty()) {

@@ -1,6 +1,7 @@
 // gemfi_now_worker — one workstation of the NoW campaign service (paper
-// Sec. III-E): connects to a gemfi_now_master, receives the calibrated app
-// and its checkpoint once, then runs experiment batches on `--slots` parallel
+// Sec. III-E): connects to a `gemfi_cli` NoW master (one started with
+// --port, --bind or --now-local), receives the calibrated app and its
+// checkpoint once, then runs experiment batches on `--slots` parallel
 // persistent-Simulation slots until the master sends Shutdown.
 //
 // Usage:

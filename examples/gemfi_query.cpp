@@ -1,5 +1,5 @@
-// gemfi_query — slice a campaign's JSONL results: `gemfi_cli --out`,
-// `gemfi_now_master --out`, `gemfi_submit --out` or the daemon's
+// gemfi_query — slice a campaign's JSONL results: `gemfi_cli --out` (local
+// threads or the NoW master), `gemfi_submit --out` or the daemon's
 // `<journal>/c<id>.results.jsonl`. Lines without an "index" (the calibration
 // header, stop and summary records) are skipped; behavior and family come
 // from re-parsing each record's fault line.

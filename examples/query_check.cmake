@@ -5,11 +5,13 @@
 # header on line 1, then one record per line). gemfi_query must count 60
 # rows, reproduce the outcome table gemfi_cli printed, reject an unknown
 # outcome name (exit 2), and reject a copy whose last record was torn in
-# half (exit 2, naming the torn line).
+# half and a copy with a 2,000,000-deep nested line appended (exit 2, naming
+# the bad line, never a crash).
 file(REMOVE_RECURSE "${WORK}")
 file(MAKE_DIRECTORY "${WORK}")
 set(records "${WORK}/campaign.jsonl")
 set(torn "${WORK}/torn.jsonl")
+set(deep "${WORK}/deep.jsonl")
 
 execute_process(
   COMMAND "${CLI}" --app=pi --campaign=60 --seed=7 "--out=${records}"
@@ -80,4 +82,20 @@ endif()
 if(NOT out STREQUAL "")
   message(FATAL_ERROR "the torn file printed a partial answer:\n${out}")
 endif()
-message(STATUS "gemfi_query counts 60 rows, matches gemfi_cli and rejects a torn line")
+# The whole file, then one line of 2,000,000 '[' (line 62): the parser's
+# nesting bound must turn it into a path:line error instead of a stack
+# overflow.
+file(READ "${records}" content)
+string(REPEAT "[" 2000000 brackets)
+file(WRITE "${deep}" "${content}${brackets}\n")
+execute_process(
+  COMMAND "${QUERY}" "${deep}" --count
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "the deeply nested file exited ${rc}, want 2:\n${err}")
+endif()
+if(NOT err MATCHES "deep.jsonl:62:")
+  message(FATAL_ERROR "the deeply nested file's error does not name line 62:\n${err}")
+endif()
+message(STATUS "gemfi_query counts 60 rows, matches gemfi_cli and rejects torn and "
+               "deeply nested lines")

@@ -55,7 +55,11 @@ const std::map<std::string, unsigned>& int_reg_table() {
                            "a0", "a1", "a2", "a3", "a4", "a5", "t8", "t9",
                            "t10", "t11", "ra", "pv", "at", "gp", "sp", "zero"};
     for (unsigned i = 0; i < 32; ++i) t[names[i]] = i;
-    for (unsigned i = 0; i < 32; ++i) t["r" + std::to_string(i)] = i;
+    for (unsigned i = 0; i < 32; ++i) {
+      std::string r = "r";  // not "r" + to_string(i): GCC 12 -Wrestrict
+      r += std::to_string(i);
+      t[r] = i;
+    }
     return t;
   }();
   return table;

@@ -4,7 +4,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdio>
@@ -45,24 +44,6 @@ constexpr double kResultFlushS = 0.004;
 
 }  // namespace
 
-Autoscaler::Decision Autoscaler::tick(double now, std::size_t backlog,
-                                      std::size_t capacity_slots, unsigned workers) {
-  Decision d;
-  if (!cfg_.enabled()) return d;
-  if (now - last_action_ < cfg_.cooldown_s) return d;
-  const double load =
-      double(backlog) / double(std::max<std::size_t>(1, capacity_slots));
-  if (workers < cfg_.min_workers) {
-    d.spawn = cfg_.min_workers - workers;
-  } else if (load > cfg_.high_watermark && workers < cfg_.max_workers) {
-    d.spawn = std::min(cfg_.step, cfg_.max_workers - workers);
-  } else if (load < cfg_.low_watermark && workers > cfg_.min_workers) {
-    d.retire = std::min(cfg_.step, workers - cfg_.min_workers);
-  }
-  if (d.spawn != 0 || d.retire != 0) last_action_ = now;
-  return d;
-}
-
 // ---------------------------------------------------------------------------
 // Master: the fleet engine serving one pre-calibrated, unjournaled campaign
 // ---------------------------------------------------------------------------
@@ -73,21 +54,13 @@ struct Master::Impl final : Fleet {
   Lane lane;
   std::atomic<bool> drain_requested{false};
 
-  // Elastic fleet. spawned_not_joined counts workers the spawn callback
-  // started that have not sent Hello yet, so the policy does not re-spawn
-  // for the same backlog every cooldown period.
-  Autoscaler scaler;
-  std::function<void(unsigned)> spawn_cb;
-  unsigned spawned_not_joined = 0;
-  unsigned joined_seen = 0;  // workers_joined at the last autoscale tick
-
   double first_worker_deadline = 0.0;
   DispatchReport stats;  // master-only counters accumulate here during the run
 
   Impl(const CalibratedApp& ca, const apps::AppScale& scale,
        const std::vector<fi::Fault>& faults, const CampaignConfig& cfg_in,
        const DispatchConfig& dcfg_in)
-      : Fleet(dcfg_in), cfg(cfg_in), dcfg(dcfg_in), scaler(dcfg_in.autoscale) {
+      : Fleet(dcfg_in), cfg(cfg_in), dcfg(dcfg_in) {
     lane.id = 1;
     lane.open(ca, scale, cfg, faults, dcfg.stop);
   }
@@ -129,41 +102,6 @@ struct Master::Impl final : Fleet {
     if (counters_.workers_joined == 0 && mono_seconds() > first_worker_deadline)
       throw std::runtime_error("campaign master: no worker joined within " +
                                std::to_string(dcfg.first_worker_timeout_s) + "s");
-    autoscale_tick();
-  }
-
-  /// Elastic fleet tick: sample backlog/capacity, apply the watermark
-  /// policy. Growth goes through the spawn callback; retirement picks idle
-  /// leased workers and shuts them down gracefully — never counted as lost,
-  /// never taking work down with them.
-  void autoscale_tick() {
-    spawned_not_joined -=
-        std::min(spawned_not_joined, counters_.workers_joined - joined_seen);
-    joined_seen = counters_.workers_joined;
-    if (!dcfg.autoscale.enabled() || lane.stopping || !dispatching()) return;
-
-    std::size_t capacity = 0;
-    unsigned active = 0;
-    for (const auto& p : peers_) {
-      if (p->lease == 0 || p->retiring) continue;
-      ++active;
-      capacity += p->slots;
-    }
-    const auto d = scaler.tick(mono_seconds(), lane.pending.size() + inflight_on(lane.id),
-                               capacity, active + spawned_not_joined);
-    if (d.spawn != 0 && spawn_cb) {
-      spawn_cb(d.spawn);
-      spawned_not_joined += d.spawn;
-      stats.workers_spawned += d.spawn;
-    }
-    unsigned retire = d.retire;
-    for (const auto& p : peers_) {
-      if (retire == 0) break;
-      if (p->lease == 0 || p->retiring || !p->inflight.empty()) continue;
-      retire_worker(*p);
-      ++stats.workers_retired;
-      --retire;
-    }
   }
 
   DispatchReport run() {
@@ -197,10 +135,6 @@ DispatchReport Master::run() { return impl_->run(); }
 void Master::request_drain() noexcept {
   impl_->drain_requested.store(true, std::memory_order_relaxed);
   impl_->wake();
-}
-
-void Master::set_spawn_callback(std::function<void(unsigned)> spawn) {
-  impl_->spawn_cb = std::move(spawn);
 }
 
 // ---------------------------------------------------------------------------
@@ -416,11 +350,12 @@ int run_worker(const WorkerConfig& wcfg) {
 }
 
 // ---------------------------------------------------------------------------
-// Forked loopback workers (--now-local and the chaos tests)
+// Forked loopback workers
 // ---------------------------------------------------------------------------
 
-void LocalWorkerPool::grow(unsigned workers, std::uint16_t port, unsigned slots,
-                           unsigned max_reconnects) {
+LocalWorkerPool LocalWorkerPool::spawn(unsigned workers, std::uint16_t port,
+                                       unsigned slots, unsigned max_reconnects) {
+  LocalWorkerPool pool;
   std::fflush(stdout);
   std::fflush(stderr);
   for (unsigned i = 0; i < workers; ++i) {
@@ -435,14 +370,8 @@ void LocalWorkerPool::grow(unsigned workers, std::uint16_t port, unsigned slots,
       // _exit: never unwind into the parent's atexit/gtest machinery.
       ::_exit(run_worker(wcfg));
     }
-    pids_.push_back(int(pid));
+    pool.pids_.push_back(int(pid));
   }
-}
-
-LocalWorkerPool LocalWorkerPool::spawn(unsigned workers, std::uint16_t port,
-                                       unsigned slots, unsigned max_reconnects) {
-  LocalWorkerPool pool;
-  pool.grow(workers, port, slots, max_reconnects);
   return pool;
 }
 
@@ -469,18 +398,8 @@ DispatchReport run_campaign_service_local(const CalibratedApp& ca,
                                           unsigned slots, DispatchConfig dcfg) {
   dcfg.bind_address = "127.0.0.1";
   Master master(ca, scale, faults, cfg, dcfg);
-  unsigned initial = workers == 0 ? 1 : workers;
-  if (dcfg.autoscale.enabled())
-    initial = std::max(1u, std::min(initial, dcfg.autoscale.max_workers));
-  LocalWorkerPool pool = LocalWorkerPool::spawn(initial, master.port(), slots);
-  if (dcfg.autoscale.enabled()) {
-    // Elastic growth: the master's autoscaler forks additional loopback
-    // workers into the same pool. Called from the run() loop thread; the
-    // pool is only ever touched from that thread until wait_all below.
-    const std::uint16_t port = master.port();
-    master.set_spawn_callback(
-        [&pool, port, slots](unsigned n) { pool.grow(n, port, slots); });
-  }
+  LocalWorkerPool pool =
+      LocalWorkerPool::spawn(workers == 0 ? 1 : workers, master.port(), slots);
   try {
     DispatchReport report = master.run();
     pool.wait_all();

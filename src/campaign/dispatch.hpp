@@ -32,7 +32,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -42,52 +41,6 @@
 #include "campaign/runner.hpp"
 
 namespace gemfi::campaign {
-
-/// Elastic worker-fleet policy: grow when the backlog per slot crosses the
-/// high watermark, retire idle workers when it falls under the low one.
-/// max_workers == 0 disables autoscaling entirely.
-struct AutoscaleConfig {
-  unsigned min_workers = 0;
-  unsigned max_workers = 0;
-
-  /// Watermarks are backlog-per-slot (pending + in-flight experiments over
-  /// total fleet slots). With two experiments in flight per slot a saturated
-  /// fleet sits near 2, so growth starts well above that and retirement well
-  /// below.
-  double high_watermark = 4.0;
-  double low_watermark = 1.0;
-
-  /// Minimum seconds between scaling actions — the hysteresis that keeps a
-  /// load hovering at a watermark from flapping spawn/retire.
-  double cooldown_s = 1.0;
-  unsigned step = 1;  // workers per scaling action
-
-  [[nodiscard]] bool enabled() const noexcept { return max_workers > 0; }
-};
-
-/// Pure watermark-hysteresis policy, separated from the Master so the
-/// no-oscillation property is unit-testable without sockets or forks. The
-/// caller samples (backlog, capacity, workers) and applies the decision;
-/// `workers` must include spawns still connecting, or every cooldown period
-/// would re-spawn for the same backlog.
-class Autoscaler {
- public:
-  explicit Autoscaler(const AutoscaleConfig& cfg) : cfg_(cfg) {}
-
-  struct Decision {
-    unsigned spawn = 0;
-    unsigned retire = 0;
-  };
-
-  Decision tick(double now, std::size_t backlog, std::size_t capacity_slots,
-                unsigned workers);
-
-  [[nodiscard]] const AutoscaleConfig& config() const noexcept { return cfg_; }
-
- private:
-  AutoscaleConfig cfg_;
-  double last_action_ = -1e300;
-};
 
 /// Master settings on top of the shared fleet tuning. With handle_sigint,
 /// SIGINT drains the campaign gracefully.
@@ -101,10 +54,6 @@ struct DispatchConfig : FleetConfig {
   /// frames, the workers'), drains in-flight work, and emits a
   /// `stopped_early` summary record through the observer.
   StopPolicy stop;
-
-  /// Elastic fleet policy; requires a spawn callback (see
-  /// Master::set_spawn_callback) for the growth half.
-  AutoscaleConfig autoscale;
 };
 
 /// What the master adds on top of the merged CampaignReport and the fleet
@@ -127,10 +76,6 @@ struct DispatchReport : FleetCounters {
   std::uint64_t stop_index = 0;     // prefix length that satisfied the rule
   std::uint64_t cancelled = 0;      // experiments reclaimed unrun
   std::string aggregate_summary;    // last summary JSON emitted ("" if none)
-
-  // Elastic fleet.
-  unsigned workers_spawned = 0;     // autoscale growth actions (workers forked)
-  unsigned workers_retired = 0;     // idle workers gracefully shut down
 };
 
 /// The campaign master: owns the listening socket and runs the poll-based
@@ -159,12 +104,6 @@ class Master {
   /// results, shut down. run() then returns with drained_early set.
   void request_drain() noexcept;
 
-  /// Provide the autoscaler's growth mechanism: called from the run() loop
-  /// thread with the number of workers to start (fork a process, start a
-  /// remote ssh job, ...); the new workers connect back like any other.
-  /// Without a callback, grow decisions are dropped (retire still works).
-  void set_spawn_callback(std::function<void(unsigned)> spawn);
-
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
@@ -189,8 +128,8 @@ struct WorkerConfig {
 /// budget is exhausted (returns nonzero). Never throws.
 int run_worker(const WorkerConfig& wcfg);
 
-/// A pool of forked loopback worker processes (the --now-local mode and the
-/// chaos tests' crash targets).
+/// A pool of forked loopback worker processes (`gemfi_cli --now-local`, the
+/// benchmarks, and the chaos tests' crash targets).
 class LocalWorkerPool {
  public:
   /// Fork `workers` children, each running run_worker() against
@@ -202,10 +141,6 @@ class LocalWorkerPool {
   /// pools need a far larger budget than a one-shot master's.
   static LocalWorkerPool spawn(unsigned workers, std::uint16_t port, unsigned slots,
                                unsigned max_reconnects = 3);
-
-  /// Fork more workers into an existing pool (the autoscaler's growth hook).
-  void grow(unsigned workers, std::uint16_t port, unsigned slots,
-            unsigned max_reconnects = 3);
 
   LocalWorkerPool() = default;
   LocalWorkerPool(LocalWorkerPool&&) = default;
@@ -221,7 +156,7 @@ class LocalWorkerPool {
   std::vector<int> pids_;
 };
 
-/// One-call convenience for `--now-local N`: master plus N forked loopback
+/// One-call convenience for library callers: a loopback master plus N forked
 /// workers with `slots` slots each, serving `faults` of the calibrated app.
 DispatchReport run_campaign_service_local(const CalibratedApp& ca,
                                           const apps::AppScale& scale,

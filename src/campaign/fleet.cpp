@@ -259,11 +259,6 @@ void Fleet::part_worker(Peer& w) {
   w.defunct = true;
 }
 
-void Fleet::retire_worker(Peer& w) {
-  w.retiring = true;
-  send_or_defunct(w, frame_for(wire::MsgType::Shutdown), 2.0);
-}
-
 void Fleet::drop_peer(std::size_t i) {
   Peer& p = *peers_[i];
   if (p.kind == PeerKind::Worker) {
@@ -318,7 +313,7 @@ void Fleet::assign_and_dispatch() {
   }
 
   for (const auto& p : peers_) {
-    if (p->defunct || p->retiring || p->lease == 0) continue;
+    if (p->defunct || p->lease == 0) continue;
     Lane* lane = find_lane(p->lease);
     if (lane == nullptr || !lane->running) continue;
     const std::size_t target = std::size_t(p->slots) * kPipelineDepth;

@@ -117,7 +117,7 @@ class Fleet {
     net::FrameReader reader;
     net::FrameLiveness liveness;
     bool defunct = false;   // dropped at the next sweep
-    bool retiring = false;  // shut down or parted on purpose: not a loss
+    bool retiring = false;  // parted on purpose: not a loss
     unsigned slots = 0;
     std::uint64_t lease = 0;  // lane this worker serves; 0 = parked or not a worker
     std::unordered_set<std::uint64_t> inflight;
@@ -167,8 +167,6 @@ class Fleet {
   /// Move a worker off its lane: requeue its in-flight work and close the
   /// connection (its reconnect loop brings it back parked).
   void part_worker(Peer& w);
-  /// Send Shutdown to an idle worker; its EOF is then not counted as a loss.
-  void retire_worker(Peer& w);
 
   FleetConfig fleet_cfg_;
   FleetCounters counters_;

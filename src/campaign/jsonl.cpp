@@ -1,6 +1,7 @@
 #include "campaign/jsonl.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -87,7 +88,14 @@ const std::string& Value::as_string() const {
 
 std::uint64_t Value::as_u64() const {
   if (kind != Kind::Number) throw std::invalid_argument("JSON value is not a number");
-  return std::strtoull(text.c_str(), nullptr, 10);
+  // Only a plain decimal token: strtoull would wrap "-1" to 2^64-1, stop at
+  // the '.' of "1.5" or the 'e' of "1e3", and saturate on overflow.
+  std::uint64_t v = 0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end)
+    throw std::invalid_argument("JSON number is not a uint64: " + text);
+  return v;
 }
 
 double Value::as_double() const {
@@ -101,6 +109,10 @@ bool Value::as_bool() const {
 }
 
 namespace {
+
+/// Deepest object/array nesting parse() accepts. Records nest a few levels;
+/// the bound keeps hostile input from exhausting the stack.
+constexpr unsigned kMaxDepth = 64;
 
 class Parser {
  public:
@@ -145,8 +157,15 @@ class Parser {
   Value value() {
     skip_ws();
     switch (peek()) {
-      case '{': return object();
-      case '[': return array();
+      case '{':
+      case '[': {
+        if (depth_ == kMaxDepth)
+          fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        ++depth_;
+        Value v = peek() == '{' ? object() : array();
+        --depth_;
+        return v;
+      }
       case '"': return string_value();
       case 't':
       case 'f': return bool_value();
@@ -297,6 +316,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  unsigned depth_ = 0;
 };
 
 }  // namespace

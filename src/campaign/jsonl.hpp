@@ -52,6 +52,8 @@ struct Value {
   [[nodiscard]] bool has(const std::string& key) const;
 
   /// Typed reads; each throws std::invalid_argument on a kind mismatch.
+  /// as_u64 also throws unless the number is a plain decimal that fits a
+  /// uint64 (no sign, fraction, exponent or overflow).
   [[nodiscard]] const std::string& as_string() const;
   [[nodiscard]] std::uint64_t as_u64() const;
   [[nodiscard]] double as_double() const;
@@ -59,8 +61,9 @@ struct Value {
 };
 
 /// Parse one complete JSON document (e.g. one JSONL line). Throws
-/// std::invalid_argument with position information on malformed input;
-/// trailing non-whitespace is an error.
+/// std::invalid_argument with position information on malformed input or
+/// on objects/arrays nested more than 64 deep; trailing non-whitespace is an
+/// error.
 Value parse(std::string_view text);
 
 }  // namespace gemfi::campaign::jsonl

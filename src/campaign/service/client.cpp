@@ -33,7 +33,10 @@ net::Frame Client::next_frame(double timeout_s) {
 }
 
 std::uint64_t Client::submit(const CampaignSpec& spec) {
-  conn_.send_all(frame_for(wire::MsgType::SubmitCampaign, encode_submit(spec)));
+  const std::string json = spec.to_json();
+  const std::span<const std::uint8_t> payload(
+      reinterpret_cast<const std::uint8_t*>(json.data()), json.size());
+  conn_.send_all(frame_for(wire::MsgType::SubmitCampaign, payload));
   const net::Frame f = next_frame(30.0);
   if (wire::MsgType(f.type) != wire::MsgType::SubmitReply)
     throw net::ProtocolError("expected SubmitReply, got type " +

@@ -25,47 +25,10 @@ void expect_end(const ByteReader& r, const char* what) {
 
 }  // namespace
 
-std::vector<std::uint8_t> encode_submit(const CampaignSpec& spec) {
-  ByteWriter w;
-  w.put_string(spec.tenant);
-  w.put_string(spec.name);
-  w.put_string(spec.app_name);
-  w.put_bool(spec.paper_scale);
-  w.put_u64(spec.app_scale_seed);
-  w.put_u64(spec.experiments);
-  w.put_u64(spec.campaign_seed);
-  w.put_u32(spec.weight);
-  w.put_u32(spec.max_workers);
-  w.put_u8(spec.cpu);
-  w.put_u64(spec.watchdog_mult);
-  w.put_f64(spec.deadline_seconds);
-  w.put_u32(spec.max_retries);
-  w.put_f64(spec.stop_eps);
-  w.put_f64(spec.stop_conf);
-  return w.take();
-}
-
-CampaignSpec decode_submit(std::span<const std::uint8_t> payload) {
-  ByteReader r(payload);
-  CampaignSpec s;
-  s.tenant = r.get_string();
-  s.name = r.get_string();
-  s.app_name = r.get_string();
-  s.paper_scale = r.get_bool();
-  s.app_scale_seed = r.get_u64();
-  s.experiments = r.get_u64();
-  s.campaign_seed = r.get_u64();
-  s.weight = r.get_u32();
-  s.max_workers = r.get_u32();
-  s.cpu = r.get_u8();
-  s.watchdog_mult = r.get_u64();
-  s.deadline_seconds = r.get_f64();
-  s.max_retries = r.get_u32();
-  s.stop_eps = r.get_f64();
-  s.stop_conf = r.get_f64();
-  expect_end(r, "SubmitCampaign");
-  s.validate();  // std::invalid_argument on an unusable spec
-  return s;
+CampaignSpec parse_submit(std::span<const std::uint8_t> payload) {
+  const std::string_view json(reinterpret_cast<const char*>(payload.data()),
+                              payload.size());
+  return CampaignSpec::from_json(jsonl::parse(json));
 }
 
 std::vector<std::uint8_t> encode_submit_reply(const SubmitReply& rep) {

@@ -5,6 +5,10 @@
 // discriminators, and malformed input surfaces as util::DeserializeError so
 // the service treats a hostile client exactly like a damaged frame (drop the
 // peer) — never as undefined behavior.
+//
+// The one exception is SubmitCampaign: its payload is the spec's journal
+// line (CampaignSpec::to_json), so a spec has a single encoding, and any
+// payload the service cannot use earns a SubmitReply{ok=false, error}.
 #pragma once
 
 #include <cstdint>
@@ -56,7 +60,6 @@ struct StreamEnd {
   std::string error;  // Failed: why
 };
 
-std::vector<std::uint8_t> encode_submit(const CampaignSpec& spec);
 std::vector<std::uint8_t> encode_submit_reply(const SubmitReply& r);
 std::vector<std::uint8_t> encode_status_request(const StatusRequest& r);
 std::vector<std::uint8_t> encode_status_reply(const std::vector<CampaignStatus>& statuses);
@@ -66,9 +69,12 @@ std::vector<std::uint8_t> encode_stream_results(const StreamResults& s);
 std::vector<std::uint8_t> encode_result_lines(const ResultLines& rl);
 std::vector<std::uint8_t> encode_stream_end(const StreamEnd& e);
 
-// Decoders throw util::DeserializeError (or std::invalid_argument from
-// CampaignSpec::validate) on malformed payloads.
-CampaignSpec decode_submit(std::span<const std::uint8_t> payload);
+/// The spec in a SubmitCampaign payload (the JSON of CampaignSpec::to_json).
+/// Throws std::invalid_argument / std::out_of_range on malformed JSON or an
+/// unusable spec.
+CampaignSpec parse_submit(std::span<const std::uint8_t> payload);
+
+// Decoders throw util::DeserializeError on malformed payloads.
 SubmitReply decode_submit_reply(std::span<const std::uint8_t> payload);
 StatusRequest decode_status_request(std::span<const std::uint8_t> payload);
 std::vector<CampaignStatus> decode_status_reply(std::span<const std::uint8_t> payload);

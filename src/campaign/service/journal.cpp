@@ -186,7 +186,11 @@ std::vector<std::string> Journal::read_result_lines(std::uint64_t id) const {
 }
 
 std::string Journal::results_path(std::uint64_t id) const {
-  return (fs::path(root_) / ("c" + std::to_string(id) + ".results.jsonl")).string();
+  // Appended piecewise: "c" + std::to_string(id) trips GCC 12's -Wrestrict.
+  std::string name = "c";
+  name += std::to_string(id);
+  name += ".results.jsonl";
+  return (fs::path(root_) / name).string();
 }
 
 }  // namespace gemfi::campaign::service

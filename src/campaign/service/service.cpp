@@ -369,11 +369,9 @@ struct CampaignService::Impl final : Fleet {
     SubmitReply reply;
     std::optional<CampaignSpec> spec;
     try {
-      spec = decode_submit(payload);
-    } catch (const util::DeserializeError&) {
-      throw;  // malformed bytes: drop the peer like any damaged frame
+      spec = parse_submit(payload);
     } catch (const std::exception& e) {
-      reply.error = e.what();  // well-formed but unusable spec: polite no
+      reply.error = e.what();  // malformed JSON or an unusable spec: polite no
     }
     if (spec) {
       const std::uint64_t id = next_id++;

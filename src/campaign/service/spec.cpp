@@ -1,8 +1,26 @@
 #include "campaign/service/spec.hpp"
 
+#include <limits>
 #include <stdexcept>
 
 namespace gemfi::campaign::service {
+
+namespace {
+
+/// Field `key` of `v` as an integer no larger than `max`, checked before the
+/// caller narrows it (a bare cast would turn "cpu":256 into 0, atomic).
+std::uint64_t bounded_u64(const jsonl::Value& v, const std::string& key,
+                          std::uint64_t max) {
+  const std::uint64_t x = v.at(key).as_u64();
+  if (x > max)
+    throw std::invalid_argument("campaign spec: " + key + " " + std::to_string(x) +
+                                " out of range");
+  return x;
+}
+
+constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
+
+}  // namespace
 
 void CampaignSpec::validate() const {
   if (app_name.empty()) throw std::invalid_argument("campaign spec: empty app name");
@@ -66,13 +84,15 @@ CampaignSpec CampaignSpec::from_json(const jsonl::Value& v) {
   if (v.has("scale_seed")) s.app_scale_seed = v.at("scale_seed").as_u64();
   s.experiments = v.at("experiments").as_u64();
   s.campaign_seed = v.at("seed").as_u64();
-  if (v.has("weight")) s.weight = std::uint32_t(v.at("weight").as_u64());
+  if (v.has("weight")) s.weight = std::uint32_t(bounded_u64(v, "weight", kU32Max));
   if (v.has("max_workers"))
-    s.max_workers = std::uint32_t(v.at("max_workers").as_u64());
-  if (v.has("cpu")) s.cpu = std::uint8_t(v.at("cpu").as_u64());
+    s.max_workers = std::uint32_t(bounded_u64(v, "max_workers", kU32Max));
+  if (v.has("cpu"))
+    s.cpu = std::uint8_t(bounded_u64(v, "cpu", std::uint64_t(sim::CpuKind::Pipelined)));
   if (v.has("watchdog_mult")) s.watchdog_mult = v.at("watchdog_mult").as_u64();
   if (v.has("deadline")) s.deadline_seconds = v.at("deadline").as_double();
-  if (v.has("retries")) s.max_retries = std::uint32_t(v.at("retries").as_u64());
+  if (v.has("retries"))
+    s.max_retries = std::uint32_t(bounded_u64(v, "retries", kU32Max));
   if (v.has("stop_eps")) s.stop_eps = v.at("stop_eps").as_double();
   if (v.has("stop_conf")) s.stop_conf = v.at("stop_conf").as_double();
   s.validate();

@@ -6,9 +6,8 @@
 // multi-tenant scheduling inputs (tenant, fair-share weight, worker quota).
 // The same struct is the unit of durability — the
 // service journals each accepted spec as one JSON line and rebuilds its
-// campaign table from those lines after a crash — so both representations
-// (bytesio for the wire, JSON for the journal) live here and are covered by
-// round-trip tests.
+// campaign table from those lines after a crash. That JSON line is the
+// spec's only encoding: SubmitCampaign carries it on the wire too.
 #pragma once
 
 #include <array>
@@ -57,10 +56,11 @@ struct CampaignSpec {
 
   /// Journal form: the spec's fields as one flat JSON object (no newline).
   [[nodiscard]] std::string to_json() const;
-  /// Rebuild from a parsed journal object; missing optional fields keep
-  /// their defaults and unknown ones are ignored, so old journals load
-  /// under newer builds. Throws
-  /// std::invalid_argument / std::out_of_range on malformed input.
+  /// Rebuild from a parsed journal object or SubmitCampaign payload; missing
+  /// optional fields keep their defaults and unknown ones are ignored, so old
+  /// journals load under newer builds. Integers are range-checked before
+  /// they are narrowed. Throws std::invalid_argument / std::out_of_range on
+  /// malformed input.
   static CampaignSpec from_json(const jsonl::Value& v);
 };
 

@@ -24,7 +24,7 @@ namespace gemfi::campaign::wire {
 
 /// Every peer is built from this tree, so a Hello with any other version is
 /// rejected.
-inline constexpr std::uint32_t kProtocolVersion = 8;
+inline constexpr std::uint32_t kProtocolVersion = 9;
 
 enum class MsgType : std::uint8_t {
   // --- worker plane ---
@@ -41,7 +41,7 @@ enum class MsgType : std::uint8_t {
 
   // --- control plane (client <-> campaign service; codecs live in
   // campaign/service/control.hpp) ---
-  SubmitCampaign = 10,  // client -> service: CampaignSpec
+  SubmitCampaign = 10,  // client -> service: CampaignSpec::to_json line
   SubmitReply = 11,     // service -> client: assigned id or error
   StatusRequest = 12,   // client -> service: one campaign id or 0 = all
   StatusReply = 13,     // service -> client: per-campaign status records

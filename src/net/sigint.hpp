@@ -1,10 +1,10 @@
 // Nesting-safe SIGINT -> SelfPipe fan-out for the campaign masters/service.
 //
 // The dispatch layer used to keep a single global `SelfPipe*` for its SIGINT
-// handler: two Master instances in one process (e.g. a `--now-local` run
-// under test next to another master, or the campaign service hosting a
-// one-shot master) would overwrite each other's registration and restore the
-// wrong previous disposition on exit. This replaces that with a small slot
+// handler: two Master instances in one process (e.g. two one-shot masters
+// under test, or the campaign service next to a one-shot master) would
+// overwrite each other's registration and restore the wrong previous
+// disposition on exit. This replaces that with a small slot
 // table: every registered pipe is notified on SIGINT (the signal is
 // process-wide, so every drain-capable loop should drain), the handler is
 // installed on the first registration only, and the original disposition is

@@ -61,9 +61,12 @@ class ByteWriter {
   [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
 
  private:
+  // resize + memcpy rather than insert: GCC 12 at -O3 reports false
+  // -Wstringop-overflow/-Warray-bounds on the inlined range insert.
   void append_raw(const void* p, std::size_t n) {
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    buf_.insert(buf_.end(), b, b + n);
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    std::memcpy(buf_.data() + at, p, n);
   }
 
   std::vector<std::uint8_t> buf_;

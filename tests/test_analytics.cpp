@@ -1,8 +1,8 @@
 // Unit tests for the streaming campaign analytics layer: the Aggregator's
-// online counts and confidence intervals, the determinism of the sequential
-// stop rule under adversarial arrival orders and the Autoscaler's watermark
-// hysteresis. Everything here is synthetic — no simulator, no sockets — so
-// the properties are tested in isolation from scheduling noise.
+// online counts and confidence intervals, and the determinism of the
+// sequential stop rule under adversarial arrival orders. Everything here is
+// synthetic — no simulator, no sockets — so the properties are tested in
+// isolation from scheduling noise.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "campaign/analytics/aggregator.hpp"
-#include "campaign/dispatch.hpp"
 #include "campaign/runner.hpp"
 #include "util/stats.hpp"
 
@@ -198,85 +197,4 @@ TEST(Aggregator, FinitePopulationCorrectionStopsWhatInfiniteCannot) {
   EXPECT_TRUE(finite.should_stop());
   EXPECT_LT(finite.stop_index(), n);
   EXPECT_FALSE(infinite.should_stop());
-}
-
-// --- Autoscaler watermark hysteresis ---
-
-TEST(Autoscaler, GrowsAboveHighWatermarkRespectingCooldownAndMax) {
-  campaign::AutoscaleConfig cfg;
-  cfg.min_workers = 1;
-  cfg.max_workers = 3;
-  cfg.cooldown_s = 1.0;
-  campaign::Autoscaler sc(cfg);
-
-  // Huge backlog on a 1-worker/1-slot fleet: one spawn per cooldown period,
-  // never past max_workers.
-  auto d = sc.tick(0.0, 100, 1, 1);
-  EXPECT_EQ(d.spawn, 1u);
-  EXPECT_EQ(d.retire, 0u);
-  d = sc.tick(0.5, 100, 1, 2);  // inside cooldown: no action
-  EXPECT_EQ(d.spawn, 0u);
-  d = sc.tick(1.5, 100, 2, 2);
-  EXPECT_EQ(d.spawn, 1u);
-  d = sc.tick(3.0, 100, 3, 3);  // at max: no growth
-  EXPECT_EQ(d.spawn, 0u);
-}
-
-TEST(Autoscaler, RetiresBelowLowWatermarkNeverUnderMin) {
-  campaign::AutoscaleConfig cfg;
-  cfg.min_workers = 1;
-  cfg.max_workers = 4;
-  cfg.cooldown_s = 1.0;
-  campaign::Autoscaler sc(cfg);
-
-  auto d = sc.tick(0.0, 0, 4, 4);
-  EXPECT_EQ(d.retire, 1u);
-  d = sc.tick(1.5, 0, 3, 3);
-  EXPECT_EQ(d.retire, 1u);
-  d = sc.tick(3.0, 0, 2, 2);
-  EXPECT_EQ(d.retire, 1u);
-  d = sc.tick(4.5, 0, 1, 1);  // at min: keep the last worker
-  EXPECT_EQ(d.retire, 0u);
-  EXPECT_EQ(d.spawn, 0u);
-}
-
-// The no-oscillation property the watermark gap + cooldown buy: a load that
-// sits anywhere inside [low, high] produces no decisions at all, and the
-// load shift caused by a scaling action itself (capacity change moving
-// backlog-per-slot across the band) cannot trigger the opposite action.
-TEST(Autoscaler, NoSpawnRetireOscillation) {
-  campaign::AutoscaleConfig cfg;
-  cfg.min_workers = 1;
-  cfg.max_workers = 8;
-  cfg.high_watermark = 4.0;
-  cfg.low_watermark = 1.0;
-  cfg.cooldown_s = 1.0;
-  campaign::Autoscaler sc(cfg);
-
-  // Dead zone: no action no matter how long it sits there.
-  for (int t = 0; t < 20; ++t) {
-    const auto d = sc.tick(double(t), /*backlog=*/6, /*capacity=*/3, /*workers=*/3);
-    EXPECT_EQ(d.spawn, 0u);
-    EXPECT_EQ(d.retire, 0u);
-  }
-
-  // A spawn that lands the new load inside the band must not be followed by
-  // a retire (or another spawn) while the backlog is unchanged.
-  unsigned workers = 2;
-  std::size_t backlog = 9;  // load 4.5 on 2 slots: grow
-  auto d = sc.tick(100.0, backlog, workers, workers);
-  EXPECT_EQ(d.spawn, 1u);
-  workers += d.spawn;  // caller counts the spawn immediately (not-yet-joined)
-  for (int t = 1; t <= 10; ++t) {
-    d = sc.tick(100.0 + t, backlog, workers, workers);  // load 3.0: dead zone
-    EXPECT_EQ(d.spawn, 0u) << "re-spawned for the same backlog";
-    EXPECT_EQ(d.retire, 0u) << "retired the worker it just spawned";
-  }
-}
-
-TEST(Autoscaler, DisabledPolicyNeverActs) {
-  campaign::Autoscaler sc(campaign::AutoscaleConfig{});  // max_workers == 0
-  const auto d = sc.tick(0.0, 1000, 1, 1);
-  EXPECT_EQ(d.spawn, 0u);
-  EXPECT_EQ(d.retire, 0u);
 }

@@ -244,6 +244,38 @@ TEST(Jsonl, NonFiniteDoublesBecomeNull) {
   EXPECT_DOUBLE_EQ(v.at("fine").as_double(), 1.5);
 }
 
+// Outside bytes (a JSONL file, the daemon's journal) must not blow the
+// parser's stack: nesting is bounded, and past the bound parse() throws.
+TEST(Jsonl, DeepNestingThrowsInsteadOfOverflowingTheStack) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_NO_THROW(campaign::jsonl::parse(nested(64)));
+  EXPECT_THROW(campaign::jsonl::parse(nested(65)), std::invalid_argument);
+  EXPECT_THROW(campaign::jsonl::parse(std::string(2'000'000, '[')), std::invalid_argument);
+  std::string objects;
+  for (int i = 0; i < 100; ++i) objects += "{\"k\":";
+  EXPECT_THROW(campaign::jsonl::parse(objects + "0" + std::string(100, '}')),
+               std::invalid_argument);
+}
+
+TEST(Jsonl, AsU64AcceptsOnlyPlainDecimalUint64) {
+  const auto u64 = [](const std::string& token) {
+    return campaign::jsonl::parse("{\"n\":" + token + "}").at("n").as_u64();
+  };
+  EXPECT_EQ(u64("0"), 0u);
+  EXPECT_EQ(u64("18446744073709551615"), 18446744073709551615ull);
+  // Negative, fractional, exponent and overflowing tokens.
+  EXPECT_THROW(u64("-1"), std::invalid_argument);
+  EXPECT_THROW(u64("-0"), std::invalid_argument);
+  EXPECT_THROW(u64("1.5"), std::invalid_argument);
+  EXPECT_THROW(u64("1e3"), std::invalid_argument);
+  EXPECT_THROW(u64("18446744073709551616"), std::invalid_argument);
+  EXPECT_THROW(u64("99999999999999999999999"), std::invalid_argument);
+  // as_double still reads every JSON number.
+  EXPECT_DOUBLE_EQ(campaign::jsonl::parse("{\"n\":1e3}").at("n").as_double(), 1000.0);
+}
+
 TEST(Observers, JsonlStreamsOneValidRecordPerExperiment) {
   const auto ca = campaign::calibrate(apps::build_app("pi"), quick_config());
   auto cfg = quick_config();

@@ -30,9 +30,9 @@ using testenv::scaled_s;
 
 // Sanitized builds run every experiment several times slower, and the forked
 // worker processes are sanitized too — on an oversubscribed runner they
-// serialize with the master. The early-stop and autoscale tests scale their
-// campaign length down under a sanitizer (the invariants are unchanged; the
-// stop rule still fires well before the end at the smaller n).
+// serialize with the master. The early-stop test scales its campaign length
+// down under a sanitizer (the invariants are unchanged; the stop rule still
+// fires well before the end at the smaller n).
 #if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
 #define GEMFI_SANITIZED 1
 #elif defined(__has_feature)
@@ -118,45 +118,60 @@ const Calibrated& calibrated() {
 // The acceptance-criteria test: a 4-worker multi-process campaign over 200
 // experiments produces the same records as the in-process runner, modulo
 // ordering and host telemetry, with zero lost or duplicated experiments.
+// The second configuration arms a fixed syscall plan plus a seeded random
+// plan per experiment: both travel in the Welcome, and every record carries
+// its plans, so a worker that lost either would diverge.
 TEST(Dispatch, FourWorkerGoldenEquivalence) {
   const Calibrated& c = calibrated();
   const std::size_t n = 200;
   const auto faults =
       campaign::seeded_fault_set(c.cfg.campaign_seed, n, c.ca.kernel_fetches);
 
-  // Reference: the in-process parallel runner.
-  campaign::CampaignConfig local_cfg = c.cfg;
-  CollectingObserver local_obs;
-  local_cfg.observer = &local_obs;
-  local_cfg.workers = 2;
-  const auto local_report = campaign::run_campaign(c.ca, faults, local_cfg);
-  ASSERT_EQ(local_report.total(), n);
+  campaign::CampaignConfig with_plans = c.cfg;
+  with_plans.syscall_plans = {fi::parse_syscall_plan("write@idx:1 errno:EIO")};
+  with_plans.random_syscall_faults = true;
 
-  // Subject: master + 4 forked loopback worker processes.
-  campaign::CampaignConfig now_cfg = c.cfg;
-  CollectingObserver now_obs;
-  now_cfg.observer = &now_obs;
-  const auto dr = campaign::run_campaign_service_local(c.ca, c.scale, faults, now_cfg,
-                                                       /*workers=*/4, /*slots=*/1);
+  for (const campaign::CampaignConfig& cfg : {c.cfg, with_plans}) {
+    SCOPED_TRACE(cfg.random_syscall_faults ? "with syscall plans" : "plain");
+    // Reference: the in-process parallel runner.
+    campaign::CampaignConfig local_cfg = cfg;
+    CollectingObserver local_obs;
+    local_cfg.observer = &local_obs;
+    local_cfg.workers = 2;
+    const auto local_report = campaign::run_campaign(c.ca, faults, local_cfg);
+    ASSERT_EQ(local_report.total(), n);
 
-  EXPECT_EQ(dr.completed, n);
-  EXPECT_EQ(dr.workers_joined, 4u);
-  EXPECT_EQ(dr.workers_lost, 0u);
-  EXPECT_EQ(dr.duplicate_results, 0u);
-  EXPECT_FALSE(dr.drained_early);
-  EXPECT_GT(dr.checkpoint_bytes_shipped, 0u);
-  EXPECT_EQ(std::count(dr.done.begin(), dr.done.end(), 1), std::ptrdiff_t(n));
-  EXPECT_EQ(dr.campaign.total(), n);
-  EXPECT_EQ(now_obs.count(), n);
+    // Subject: master + 4 forked loopback worker processes.
+    campaign::CampaignConfig now_cfg = cfg;
+    CollectingObserver now_obs;
+    now_cfg.observer = &now_obs;
+    const auto dr = campaign::run_campaign_service_local(c.ca, c.scale, faults, now_cfg,
+                                                         /*workers=*/4, /*slots=*/1);
 
-  // Exactly-once: every index observed exactly once.
-  std::vector<unsigned> seen(n, 0);
-  for (const auto& rec : now_obs.records()) ++seen.at(rec.index);
-  EXPECT_TRUE(std::all_of(seen.begin(), seen.end(), [](unsigned k) { return k == 1; }));
+    EXPECT_EQ(dr.completed, n);
+    EXPECT_EQ(dr.workers_joined, 4u);
+    EXPECT_EQ(dr.workers_lost, 0u);
+    EXPECT_EQ(dr.duplicate_results, 0u);
+    EXPECT_FALSE(dr.drained_early);
+    EXPECT_GT(dr.checkpoint_bytes_shipped, 0u);
+    EXPECT_EQ(std::count(dr.done.begin(), dr.done.end(), 1), std::ptrdiff_t(n));
+    EXPECT_EQ(dr.campaign.total(), n);
+    EXPECT_EQ(now_obs.count(), n);
 
-  // Record equivalence after sorting by experiment id.
-  EXPECT_EQ(normalized_sorted(local_obs.records()), normalized_sorted(now_obs.records()));
-  EXPECT_EQ(local_report.counts, dr.campaign.counts);
+    // Exactly-once: every index observed exactly once.
+    std::vector<unsigned> seen(n, 0);
+    for (const auto& rec : now_obs.records()) ++seen.at(rec.index);
+    EXPECT_TRUE(std::all_of(seen.begin(), seen.end(), [](unsigned k) { return k == 1; }));
+
+    // Record equivalence after sorting by experiment id.
+    EXPECT_EQ(normalized_sorted(local_obs.records()),
+              normalized_sorted(now_obs.records()));
+    EXPECT_EQ(local_report.counts, dr.campaign.counts);
+    if (cfg.random_syscall_faults) {
+      for (const auto& rec : now_obs.records())
+        ASSERT_EQ(rec.result.syscall_plans.size(), 2u) << "index " << rec.index;
+    }
+  }
 }
 
 // A worker SIGKILLed mid-campaign: its in-flight experiments are requeued to
@@ -445,37 +460,6 @@ TEST(Dispatch, EarlyStopDeterministicAcrossWorkerCountsAndTransports) {
   EXPECT_GE(one.completed, one.stop_index);
   EXPECT_LT(one.completed, n);
   EXPECT_EQ(one.completed + one.cancelled, n);
-}
-
-// Elastic fleet: a queue-heavy campaign starting from one worker grows the
-// fleet through the spawn callback, completes exactly once, and reports the
-// scaling actions. Hysteresis (no spawn/retire oscillation) is unit-tested
-// in test_analytics; this is the end-to-end growth path.
-TEST(Dispatch, AutoscaleGrowsFleetAndCampaignCompletes) {
-  const Calibrated& c = calibrated();
-  const std::size_t n = GEMFI_SANITIZED ? 100 : 200;
-  const auto faults =
-      campaign::seeded_fault_set(c.cfg.campaign_seed, n, c.ca.kernel_fetches);
-
-  campaign::CampaignConfig cfg = c.cfg;
-  CollectingObserver obs;
-  cfg.observer = &obs;
-  campaign::DispatchConfig dcfg;
-  dcfg.autoscale.min_workers = 1;
-  dcfg.autoscale.max_workers = 3;
-  dcfg.autoscale.high_watermark = 2.0;  // a 200-deep queue on 1 slot: grow fast
-  dcfg.autoscale.cooldown_s = 0.1;
-  const auto dr = campaign::run_campaign_service_local(c.ca, c.scale, faults, cfg,
-                                                       /*workers=*/1, /*slots=*/1, dcfg);
-
-  EXPECT_EQ(dr.completed, n);
-  EXPECT_GE(dr.workers_spawned, 1u);
-  EXPECT_GE(dr.workers_joined, 2u);
-  EXPECT_EQ(dr.duplicate_results, 0u);
-  EXPECT_EQ(obs.count(), n);
-  std::vector<unsigned> seen(n, 0);
-  for (const auto& rec : obs.records()) ++seen.at(rec.index);
-  EXPECT_TRUE(std::all_of(seen.begin(), seen.end(), [](unsigned k) { return k == 1; }));
 }
 
 // The master gives up with a clear error if no worker ever joins.

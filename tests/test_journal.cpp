@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "campaign/jsonl.hpp"
 #include "campaign/service/control.hpp"
@@ -55,6 +56,11 @@ service::CampaignSpec sample_spec() {
 void append_raw(const fs::path& p, const std::string& bytes) {
   std::ofstream f(p, std::ios::app | std::ios::binary);
   f << bytes;
+}
+
+/// A SubmitCampaign payload as the client sends it: the spec's JSON line.
+std::vector<std::uint8_t> submit_payload(const std::string& json) {
+  return {json.begin(), json.end()};
 }
 
 }  // namespace
@@ -106,6 +112,30 @@ TEST(Spec, ValidateRejectsUnusableSpecs) {
   reject([](auto& s) { s.weight = 0; });
   reject([](auto& s) { s.cpu = 99; });
   EXPECT_NO_THROW(sample_spec().validate());
+}
+
+// A field that does not fit its narrower type is rejected, never wrapped:
+// "cpu":256 must not come back as 0 (atomic), nor a 2^32+1 weight as 1.
+TEST(Spec, FromJsonRejectsOutOfRangeIntegers) {
+  const auto with = [](const std::string& field) {
+    return campaign::jsonl::parse(
+        R"({"tenant":"default","app":"pi","experiments":10,"seed":42,)" + field + "}");
+  };
+  EXPECT_NO_THROW(service::CampaignSpec::from_json(with(R"("cpu":2)")));
+  const std::vector<std::string> out_of_range = {
+      R"("cpu":256)",
+      R"("cpu":3)",
+      R"("cpu":-1)",
+      R"("weight":4294967297)",
+      R"("weight":1.5)",
+      R"("max_workers":4294967296)",
+      R"("retries":4294967296)",
+      R"("experiments":1e3)",
+      R"("seed":18446744073709551616)",
+  };
+  for (const std::string& field : out_of_range)
+    EXPECT_THROW(service::CampaignSpec::from_json(with(field)), std::invalid_argument)
+        << field;
 }
 
 // --- Journal ---
@@ -239,7 +269,7 @@ TEST(Journal, AppendResultThrowsWhenTheWriteFails) {
 
 TEST(Control, SubmitRoundTrip) {
   const service::CampaignSpec s = sample_spec();
-  const service::CampaignSpec r = service::decode_submit(service::encode_submit(s));
+  const service::CampaignSpec r = service::parse_submit(submit_payload(s.to_json()));
   EXPECT_EQ(r.tenant, s.tenant);
   EXPECT_EQ(r.app_name, s.app_name);
   EXPECT_EQ(r.experiments, s.experiments);
@@ -331,10 +361,11 @@ TEST(Control, DecodersRejectMalformedPayloads) {
   bytes.push_back(0);
   EXPECT_THROW(service::decode_cancel(bytes), util::DeserializeError);
 
-  // Truncation.
-  auto sub = service::encode_submit(sample_spec());
+  // A truncated submit is malformed JSON: the service answers it with a
+  // polite SubmitReply{ok=false} (invalid_argument), not a dropped peer.
+  auto sub = submit_payload(sample_spec().to_json());
   sub.resize(sub.size() - 1);
-  EXPECT_THROW(service::decode_submit(sub), util::DeserializeError);
+  EXPECT_THROW(service::parse_submit(sub), std::invalid_argument);
 
   // Out-of-range CampaignState discriminator.
   auto end = service::encode_stream_end({1, service::CampaignState::Done, ""});
@@ -345,7 +376,7 @@ TEST(Control, DecodersRejectMalformedPayloads) {
   // rejection (invalid_argument), not a protocol error.
   service::CampaignSpec bad = sample_spec();
   bad.experiments = 0;
-  EXPECT_THROW(service::decode_submit(service::encode_submit(bad)),
+  EXPECT_THROW(service::parse_submit(submit_payload(bad.to_json())),
                std::invalid_argument);
 }
 

@@ -236,6 +236,10 @@ TEST(Wire, WelcomeRebuildsCalibratedApp) {
   cfg.cpu = sim::CpuKind::AtomicSimple;
   cfg.campaign_seed = 1234;
   cfg.deadline_seconds = 2.5;
+  // Syscall-fault setup rides the Welcome too: one fixed plan for every
+  // experiment plus a seeded random plan each.
+  cfg.syscall_plans = {fi::parse_syscall_plan("write@idx:1 errno:EIO")};
+  cfg.random_syscall_faults = true;
   const apps::AppScale scale;
   const campaign::CalibratedApp ca = campaign::calibrate(apps::build_app("pi"), cfg);
 
@@ -253,14 +257,23 @@ TEST(Wire, WelcomeRebuildsCalibratedApp) {
   EXPECT_EQ(bcfg.cpu, cfg.cpu);
   EXPECT_EQ(bcfg.campaign_seed, cfg.campaign_seed);
   EXPECT_DOUBLE_EQ(bcfg.deadline_seconds, cfg.deadline_seconds);
+  ASSERT_EQ(bcfg.syscall_plans.size(), 1u);
+  EXPECT_EQ(bcfg.syscall_plans[0].to_line(), cfg.syscall_plans[0].to_line());
+  EXPECT_TRUE(bcfg.random_syscall_faults);
 
   // The rebuilt app must actually run: one experiment on each side of the
-  // wire produces the identical result.
+  // wire, with the same syscall plans, produces the identical result.
   const fi::Fault f = campaign::seeded_fault_any(cfg.campaign_seed, 3, ca.kernel_fetches);
-  const auto here = campaign::run_experiment(ca, f, cfg);
-  const auto there = campaign::run_experiment(back, f, bcfg);
+  const auto plans_here = campaign::plans_for_experiment(cfg, 3);
+  const auto plans_there = campaign::plans_for_experiment(bcfg, 3);
+  ASSERT_EQ(plans_there.size(), 2u);
+  const auto here = campaign::run_experiment(ca, f, cfg, &plans_here);
+  const auto there = campaign::run_experiment(back, f, bcfg, &plans_there);
   EXPECT_EQ(here.classification.outcome, there.classification.outcome);
   EXPECT_EQ(here.sim_ticks, there.sim_ticks);
+  ASSERT_EQ(there.syscall_plans.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i)
+    EXPECT_EQ(there.syscall_plans[i].to_line(), here.syscall_plans[i].to_line());
 }
 
 // --- sockets ---
