@@ -94,8 +94,8 @@ void simulate_app(benchmark::State& state, sim::CpuKind kind, bool fi,
 // paths: default rows run the shipping configuration; NoPredecode rows
 // disable the predecoded-instruction cache (live fetch+decode on every
 // instruction); NoFastpath rows disable the timing-model fast lane (MRU
-// cache hits, the fetch line buffer, stall-cycle warping, the batched
-// TimingSimple loop) — the fastpath=false per-tick reference.
+// cache hits, the fetch line buffer, stall-cycle warping) — the
+// fastpath=false per-tick reference.
 void BM_SimAtomic(benchmark::State& state) {
   simulate_app(state, sim::CpuKind::AtomicSimple, false);
 }
@@ -136,7 +136,7 @@ BENCHMARK(BM_SimPipelinedNoFastpath)->Unit(benchmark::kMillisecond);
 // MemBound rows: deblock on the small stress caches — compute-light, miss-
 // heavy, so nearly every tick sits in a cache/DRAM stall. This is where the
 // stall-warping half of the fast lane carries the speedup (the default rows
-// above are L1-resident and mostly measure the MRU/batch half).
+// above are L1-resident and mostly measure the MRU half).
 void BM_SimTimingMemBound(benchmark::State& state) {
   simulate_app(state, sim::CpuKind::TimingSimple, false, /*predecode=*/true,
                /*fastpath=*/true, "deblock", /*mem_bound=*/true);

@@ -60,6 +60,8 @@
 //             restore-telemetry fields aside — those describe the host, not
 //             the simulated machine).
 //
+// A flag that the invocation's mode never reads exits 2 naming the flag.
+//
 // Every run uses the fastest engine tiers; records are byte-identical on
 // every tier, so the tier is not an option. The per-tick reference loops
 // are compared against in the oracle tests and in-process A/B benches.
@@ -72,19 +74,19 @@
 //   ./gemfi_cli --app=dct --campaign=2500 --bind=0.0.0.0 --port=7000 --out=r.jsonl
 //       (then on each host: gemfi_now_worker --host=<master> --port=7000 --slots=4)
 //   ./gemfi_cli --app=dct --replay=17 --seed=7
-#include <cctype>
-#include <cerrno>
+#include <bit>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "assembler/text_asm.hpp"
 #include "campaign/dispatch.hpp"
+#include "campaign/jsonl.hpp"
 #include "campaign/observer.hpp"
 #include "campaign/runner.hpp"
 #include "flag_parse.hpp"
@@ -128,39 +130,59 @@ std::string find_record_line(const std::string& path, std::uint64_t index) {
   return {};
 }
 
-/// A full record line reduced to the canonical (host-timing-free) form:
-/// everything from wall_seconds up to retries goes, which also drops the
-/// engine-tier field older builds wrote there. Returns the line unchanged
-/// when wall_seconds is absent (the line was already canonical).
-std::string canonical_form(const std::string& line) {
-  const std::size_t begin = line.find(",\"wall_seconds\":");
-  if (begin == std::string::npos) return line;
-  const std::size_t end = line.find(",\"retries\":", begin);
-  if (end == std::string::npos) return line;
-  return line.substr(0, begin) + line.substr(end);
+/// A record minus the keys that describe the host, not the simulated machine:
+/// worker, wall time, the engine tier older builds wrote, and the restore
+/// telemetry (a campaign's shared-baseline restore costs something else than
+/// a replay's full restore). Throws on malformed JSON.
+campaign::jsonl::Value replay_comparable(const std::string& line) {
+  campaign::jsonl::Value v = campaign::jsonl::parse(line);
+  for (const char* host_key :
+       {"worker", "wall_seconds", "fastmode", "ckpt_format", "restore_pages", "restore_bytes"})
+    v.object.erase(host_key);
+  return v;
 }
 
-/// Reduce a canonical record to the fields a replay can reproduce, for the
-/// divergence check: drops the worker id (which campaign thread picked the
-/// experiment up — host scheduling) and the checkpoint-restore telemetry
-/// block (ckpt_format/restore_pages/restore_bytes — a shared-baseline
-/// campaign restore legitimately reports different costs than the isolated
-/// full restore a replay performs). Every simulated-outcome field stays.
-std::string replay_comparable(std::string line) {
-  const std::size_t wbegin = line.find(",\"worker\":");
-  if (wbegin != std::string::npos) {
-    std::size_t wend = wbegin + std::strlen(",\"worker\":");
-    while (wend < line.size() && std::isdigit(static_cast<unsigned char>(line[wend]))) ++wend;
-    line = line.substr(0, wbegin) + line.substr(wend);
-  }
-  const std::size_t begin = line.find(",\"ckpt_format\":");
-  if (begin == std::string::npos) return line;
-  std::size_t end = line.find(",\"restore_bytes\":", begin);
-  if (end == std::string::npos) return line;
-  end += std::strlen(",\"restore_bytes\":");
-  while (end < line.size() && std::isdigit(static_cast<unsigned char>(line[end]))) ++end;
-  return line.substr(0, begin) + line.substr(end);
-}
+/// What one invocation does, settled after parsing.
+enum Mode : unsigned {
+  kProgram = 1, kSingle = 2, kThreads = 4, kNowServe = 8, kNowLocal = 16, kReplay = 32
+};
+constexpr const char* kModeNames[] = {"a --program run", "a single run", "a campaign on threads",
+                                      "a NoW campaign without --now-local", "a NoW campaign",
+                                      "a replay"};  // indexed by the Mode bit
+constexpr unsigned kNow = kNowServe | kNowLocal;
+constexpr unsigned kCampaign = kThreads | kNow;
+constexpr unsigned kApp = kSingle | kCampaign | kReplay;
+
+/// The modes that read each flag. --app/--program, --cpu and --syscall-fault
+/// are read by every mode.
+struct FlagModes {
+  const char* flag;
+  unsigned modes;  // Mode bits
+  const char* needs;
+};
+constexpr FlagModes kFlagModes[] = {
+    {"faults", kProgram | kSingle, "a single run (no --campaign or --replay)"},
+    {"fault", kProgram | kSingle, "a single run (no --campaign or --replay)"},
+    {"log", kProgram | kSingle, "a single run (no --campaign or --replay)"},
+    {"paper", kApp, "--app"},
+    {"watchdog-mult", kApp, "--app"},
+    {"campaign", kApp, "--app"},
+    {"replay", kApp, "--app"},
+    {"random-syscall-faults", kCampaign | kReplay, "--campaign or --replay"},
+    {"seed", kCampaign | kReplay, "--campaign or --replay"},
+    {"retries", kCampaign | kReplay, "--campaign or --replay"},
+    {"deadline", kCampaign | kReplay, "--campaign or --replay"},
+    {"out", kCampaign, "--campaign"},
+    {"progress", kCampaign, "--campaign"},
+    {"workers", kThreads, "--campaign without --now-local, --bind or --port"},
+    {"now-local", kNow, "--campaign"},
+    {"bind", kNow, "--campaign"},
+    {"port", kNow, "--campaign"},
+    {"stop-ci", kNow, "--campaign with --now-local, --bind or --port"},
+    {"worker-timeout", kNow, "--campaign with --now-local, --bind or --port"},
+    {"slots", kNowLocal, "--campaign with --now-local"},
+    {"record", kReplay, "--replay"},
+};
 
 }  // namespace
 
@@ -261,9 +283,23 @@ int main(int argc, char** argv) {
   if (app_name.empty() == program_path.empty()) usage(argv[0]);  // exactly one
   if (campaign_n != 0 && replay_index >= 0) usage(argv[0]);
   // The NoW master serves the campaign when it forks workers or listens on a
-  // chosen address; early stopping lives in its dispatch layer.
-  const bool now = now_local > 0 || serve;
-  if (dcfg.stop.enabled() && !now) usage(argv[0]);
+  // chosen address. A flag its mode never reads is refused by name.
+  const Mode mode = !program_path.empty() ? kProgram
+                    : replay_index >= 0   ? kReplay
+                    : campaign_n == 0     ? kSingle
+                    : now_local > 0       ? kNowLocal
+                    : serve               ? kNowServe
+                                          : kThreads;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    const std::string_view name = arg.substr(2, arg.find('=') - 2);
+    for (const FlagModes& f : kFlagModes) {
+      if (name != f.flag || (f.modes & mode) != 0) continue;
+      std::fprintf(stderr, "--%s has no effect on %s; it needs %s\n", f.flag,
+                   kModeNames[std::countr_zero(unsigned(mode))], f.needs);
+      return 2;
+    }
+  }
 
   std::vector<fi::Fault> faults;
   if (!fault_path.empty()) {
@@ -391,11 +427,16 @@ int main(int argc, char** argv) {
     // index, plans) print byte-identical records.
     const std::string canonical =
         campaign::experiment_record_to_json(rec, /*include_host_timing=*/false);
-    if (!original.empty() &&
-        replay_comparable(canonical) != replay_comparable(canonical_form(original))) {
+    bool same = true;
+    try {
+      same = original.empty() || replay_comparable(canonical) == replay_comparable(original);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "%s: %s\n", record_path.c_str(), e.what());
+      return 2;
+    }
+    if (!same) {
       std::fprintf(stderr, "replay %llu: record diverged from the original\n  ran: %s\n  was: %s\n",
-                   (unsigned long long)index, canonical.c_str(),
-                   canonical_form(original).c_str());
+                   (unsigned long long)index, canonical.c_str(), original.c_str());
       return 3;
     }
     std::printf("%s\n", canonical.c_str());
@@ -431,7 +472,7 @@ int main(int argc, char** argv) {
                                                  ca.kernel_fetches);
     campaign::CampaignReport report;
     int rc = 0;
-    if (now) {
+    if ((mode & kNow) != 0) {
       campaign::DispatchReport dr;
       campaign::LocalWorkerPool pool;
       try {

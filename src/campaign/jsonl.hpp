@@ -58,6 +58,9 @@ struct Value {
   [[nodiscard]] std::uint64_t as_u64() const;
   [[nodiscard]] double as_double() const;
   [[nodiscard]] bool as_bool() const;
+
+  /// Structural equality; numbers compare by their raw source text.
+  bool operator==(const Value&) const = default;
 };
 
 /// Parse one complete JSON document (e.g. one JSONL line). Throws

@@ -1,7 +1,5 @@
 #include "cpu/atomic_cpu.hpp"
 
-#include <algorithm>
-
 namespace gemfi::cpu {
 
 namespace {
@@ -149,103 +147,6 @@ bool SimpleCpu::atomic_batch_step(BatchResult& br, CommitEvent& ev, std::uint64_
     return false;
   }
   return true;
-}
-
-BatchResult SimpleCpu::run_timing_batch(std::uint64_t max_ticks, std::uint64_t max_commits,
-                                        CommitEvent& ev) {
-  BatchResult br;
-  if (!timing_ || hooks_ != nullptr || !fetch_enabled_) return br;
-  while (br.ticks < max_ticks && br.commits < max_commits && !br.stopped) {
-    if (busy_ > 0) {
-      // Drain a stall carried in from a previous batch boundary; surfacing
-      // happens on the tick the counter reaches zero, as in cycle().
-      const std::uint64_t step = std::min<std::uint64_t>(busy_, max_ticks - br.ticks);
-      busy_ -= std::uint32_t(step);
-      br.ticks += step;
-      if (busy_ != 0) break;  // budget expired mid-stall
-      if (pending_) {
-        ev = std::move(*pending_);
-        pending_.reset();
-        if (ev.trap.pending() || ev.is_pseudo) {
-          if (ev.is_pseudo) ++br.commits;
-          br.stopped = true;
-          break;
-        }
-        ++br.commits;
-      }
-      continue;
-    }
-
-    // Execute one instruction, accumulating its charged latency instead of
-    // idling busy_ down tick by tick. Identical event flow to step_one(),
-    // but the CommitEvent (and its embedded Decoded copy) is materialized
-    // only on the rare trap/pseudo/boundary exits — the retire-and-continue
-    // path touches nothing but the architectural state and counters.
-    const std::uint64_t pc = arch_.pc();
-    ++stats_.fetched;
-    std::uint32_t lat = ms_.fetch_latency(pc);
-    const isa::Decoded* pre = ms_.predecode(pc);
-    isa::Decoded live;
-    TrapInfo trap;
-    bool is_pseudo = false;
-    if (pre == nullptr) {
-      std::uint32_t word = 0;
-      const mem::AccessError fe = ms_.fetch(pc, word);
-      if (fe != mem::AccessError::None) {
-        trap = {TrapKind::FetchFault, fe, pc};
-      } else {
-        live = isa::decode(word);
-        pre = &live;
-      }
-    }
-    if (!trap.pending()) {
-      const Operands ops = read_operands(*pre, arch_);
-      ExecOut out = execute(*pre, ops, pc);
-      if (out.trap.pending()) {
-        trap = out.trap;
-      } else {
-        TrapInfo mt;
-        if (pre->is_mem_access()) {
-          lat += ms_.data_latency(out.mem_addr, pre->is_store());
-          mt = do_mem(*pre, out, ms_);
-        }
-        if (mt.pending()) {
-          trap = mt;
-        } else {
-          writeback(*pre, out, arch_);
-          is_pseudo = out.is_pseudo;
-          ++stats_.committed;
-        }
-      }
-    }
-
-    const std::uint64_t cost = lat > 0 ? lat : 1;  // the executing tick itself
-    const std::uint64_t avail = max_ticks - br.ticks;
-    const bool stopping = trap.pending() || is_pseudo;
-    if (cost <= avail && !stopping) {
-      br.ticks += cost;
-      ++br.commits;
-      continue;
-    }
-    CommitEvent cev;
-    make_stop_event(cev, pre, pc, trap, is_pseudo);
-    if (cost > avail) {
-      // The stall crosses the batch boundary: consume what is left and park
-      // the event exactly as the per-tick loop stands mid-stall (commit not
-      // yet surfaced, so it is not in br.commits).
-      busy_ = std::uint32_t(cost - avail);
-      pending_ = std::move(cev);
-      br.ticks += avail;
-      break;
-    }
-    br.ticks += cost;
-    if (is_pseudo && !trap.pending()) ++br.commits;
-    ev = std::move(cev);
-    br.stopped = true;
-    break;
-  }
-  stats_.ticks += br.ticks;
-  return br;
 }
 
 CycleResult SimpleCpu::cycle() {

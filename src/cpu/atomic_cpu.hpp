@@ -11,7 +11,7 @@
 
 namespace gemfi::cpu {
 
-/// Result of one SimpleCpu batch call (run_trace_batch / run_timing_batch).
+/// Result of one SimpleCpu::run_trace_batch call.
 struct BatchResult {
   std::uint64_t ticks = 0;    // instruction attempts (commits, +1 if trapped)
   std::uint64_t commits = 0;  // instructions that architecturally committed
@@ -25,20 +25,6 @@ class SimpleCpu final : public CpuModel {
   SimpleCpu(mem::MemSystem& ms, bool timing) : CpuModel(ms), timing_(timing) {}
 
   CycleResult cycle() override;
-
-  /// TimingSimple counterpart of run_trace_batch: retire instructions
-  /// back-to-back, folding each instruction's charged I-/D-cache latency
-  /// into one per-instruction accumulation instead of per-tick busy_
-  /// decrements. Batch-boundary rules mirror the per-tick loop exactly:
-  /// `max_ticks` bounds simulated ticks consumed (a budget expiring
-  /// mid-stall leaves busy_/pending_ exactly as the slow path would at that
-  /// tick, with the commit not yet surfaced), `max_commits` bounds surfaced
-  /// commits (the scheduler's preemption boundary), and a trap or pseudo-op
-  /// stops the batch with the event in `ev`. Only engages in timing mode
-  /// with no stage hooks and fetch enabled; otherwise returns an empty
-  /// result and the caller falls back to cycle().
-  BatchResult run_timing_batch(std::uint64_t max_ticks, std::uint64_t max_commits,
-                               CommitEvent& ev);
 
   /// Superblock (threaded-code) tier of the atomic model: execute up to
   /// `max_ticks` instructions through lowered straight-line traces served by
@@ -83,9 +69,8 @@ class SimpleCpu final : public CpuModel {
   CommitEvent step_one();
   void exec_one(CommitEvent& ev);
 
-  /// Shared batch-exit boundary: materialize the stop event every batch
-  /// flavor (timing, trace) hands back to the simulation loop for
-  /// its trap / pseudo-op / preemption / watchdog handling.
+  /// Batch-exit boundary: materialize the stop event the trace batch hands
+  /// back to the simulation loop for its trap / pseudo-op handling.
   static void make_stop_event(CommitEvent& ev, const isa::Decoded* d, std::uint64_t pc,
                               const TrapInfo& trap, bool is_pseudo) noexcept;
   /// One hookless interpreter step inside a batch: counts the tick and the

@@ -62,8 +62,8 @@ class Scheduler {
   }
 
   /// Ticks until the scheduler itself needs the per-tick loop to run —
-  /// the scheduler's half of the simulation's "next external event at tick
-  /// T" query that bounds stall-cycle warps. Preemption is commit-indexed
+  /// the scheduler's half of the simulation's "next outside event" bound on
+  /// trace batches, stall warps and idle jumps. Preemption is commit-indexed
   /// (the quantum counts committed instructions and
   /// commits_before_preempt() already bounds commit batches), so the only
   /// tick-based event is a sleeper's wake: distance from `now` to the

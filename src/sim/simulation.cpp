@@ -264,24 +264,15 @@ RunResult Simulation::run(std::uint64_t watchdog_ticks, double wall_deadline_sec
 
   ensure_thread_scheduled();
 
-  // Batched dispatch: with no commit observer, the simple models run
-  // instructions in batches — no per-tick virtual call, CycleResult or
-  // scheduler bookkeeping. Atomic batches run through the superblock tier
-  // (cfg_.fastmode, on top of the predecode cache); TimingSimple batches,
-  // with no FI hooks, fold each instruction's cache-latency stall into one
-  // accumulation and belong to the fastpath gate. Batch boundaries land
-  // exactly where the per-tick loop would act (quantum expiry, watchdog
-  // budget, wall-clock sampling points, traps, pseudo-ops), so the loops are
-  // bit-identical in every architectural and statistical observable; the
-  // lockstep and fastmode suites check it. With fi_enabled the atomic batch
-  // is bounded by the FaultManager's horizon — the instructions that
-  // provably precede any armed fault's trigger — with the fetch-window
-  // bookkeeping applied in bulk after the batch. The horizon
-  // moves as faults arm, fire and resolve, and the active model itself can
-  // switch mid-run, so atomic engagement is re-decided every iteration; the
-  // timing gate's inputs are all run-constant.
-  const bool fast_timing = cfg_.fastpath && !cfg_.fi_enabled && !commit_observer_ &&
-                           active_cpu_ == CpuKind::TimingSimple;
+  // The one bound of every multi-tick step (trace batch, stall warp, idle
+  // jump): the ticks until the next event outside the CPU at which the
+  // per-tick loop acts — the watchdog deadline, the next 4096-tick
+  // wall-clock sampling boundary, or the earliest sleeper wake. Evaluated
+  // only when a step is about to engage, never on the plain per-tick path.
+  const auto event_room = [&]() noexcept {
+    const std::uint64_t room = std::min(deadline - tick_, sched_.ticks_before_tick_event(tick_));
+    return wall_limited ? std::min<std::uint64_t>(room, 0x1000 - (tick_ & 0xfffull)) : room;
+  };
 
   // Warp attempts cost a virtual stall_cycles() call per tick, which is pure
   // overhead on commit-dense code that never stalls. A stall window can only
@@ -306,60 +297,47 @@ RunResult Simulation::run(std::uint64_t watchdog_ticks, double wall_deadline_sec
     // Latency-delayed syscalls: wake due sleepers (completing their parked
     // calls) before any budget below is computed, then — if the CPU is empty
     // because its thread parked itself — reschedule, or idle the clock
-    // forward to the earliest wake when every live thread sleeps. One branch
-    // on the hot path when nobody sleeps.
+    // forward to the next event (the earliest wake, unless the watchdog or a
+    // wall-clock sample comes first) when every live thread sleeps. One
+    // branch on the hot path when nobody sleeps.
     if (sched_.has_sleepers() || !sched_.has_current()) {
       service_wakeups();
       if (!sched_.has_current()) {
         if (sched_.runnable_count() != 0) {
           perform_context_switch();
         } else {
-          std::uint64_t target = std::min(sched_.next_wake_tick(), deadline);
-          // Honor the wall-clock sampling cadence across the idle gap.
-          if (wall_limited) target = std::min<std::uint64_t>(target, (tick_ | 0xfffull) + 1);
-          idle_ticks_ += target - tick_;
-          tick_ = target;
+          const std::uint64_t room = event_room();
+          idle_ticks_ += room;
+          tick_ += room;
           continue;  // deadline/wall checks re-run, then the wake services
         }
       }
     }
 
-    // FI compiled in: the fault horizon bounds the atomic batch (0 hands the
-    // next instruction to the per-tick interpreter and its hooks), and its
-    // watch set ends a trace in front of any instruction a hook must see.
-    // With fastmode off every atomic instruction runs on the per-tick loop.
+    // Trace batch: with no commit observer, the atomic model runs through the
+    // superblock tier (cfg_.fastmode, on top of the predecode cache), ending
+    // exactly where the per-tick loop would act — the next outside event,
+    // quantum expiry, a trap or a pseudo-op (the lockstep and fastmode suites
+    // prove the loops bit-identical). Under FI the fault horizon also bounds
+    // it (0 hands the next instruction to the per-tick interpreter and its
+    // hooks), and its watch set ends a trace in front of any instruction a
+    // hook must see. The horizon moves as faults arm, fire and resolve, and
+    // the model can switch mid-run, so engagement is re-decided every pass.
     bool fast_atomic = cfg_.fastmode && cfg_.predecode && !commit_observer_ &&
-                       active_cpu_ == CpuKind::AtomicSimple;
+                       !drain_for_switch_ && active_cpu_ == CpuKind::AtomicSimple;
     fi::FaultManager::FastmodeBound bound;
     if (fast_atomic && cfg_.fi_enabled) {
       bound = fm_.fastmode_horizon(tick_);
       fast_atomic = bound.insts != 0;
     }
-    if ((fast_atomic || fast_timing) && !drain_for_switch_) {
-      std::uint64_t n = std::min(deadline - tick_, bound.insts);
-      const std::uint64_t pre = sched_.commits_before_preempt();
-      // Atomic retires one instruction per tick, so the commit bound is a
-      // tick bound too; the timing batch takes it separately.
-      if (fast_atomic && pre < n) n = pre;
-      if (sched_.has_sleepers()) {
-        // End the batch exactly at the earliest wake so the sleeper resumes
-        // on the same tick as in the per-tick loop (>0: due wakes serviced).
-        const std::uint64_t room = sched_.ticks_before_tick_event(tick_);
-        if (room < n) n = room;
-      }
-      if (wall_limited) {
-        // Stop on the next 4096-tick boundary so the wall clock is sampled
-        // at the same cadence as the per-tick loop.
-        const std::uint64_t chunk = 0x1000 - (tick_ & 0xfffull);
-        if (chunk < n) n = chunk;
-      } else if (n > 65536) {
-        n = 65536;  // keep the outer loop conditions fresh
-      }
-      auto& scpu = static_cast<cpu::SimpleCpu&>(*cpu_);
+    if (fast_atomic) {
+      // Atomic retires one instruction per tick, so the preemption commit
+      // bound is a tick bound too; 65536 keeps the loop conditions fresh.
+      const std::uint64_t n = std::min({event_room(), bound.insts,
+                                        sched_.commits_before_preempt(), std::uint64_t{65536}});
       cpu::CommitEvent ev;
-      const cpu::BatchResult br = fast_atomic
-                                      ? scpu.run_trace_batch(n, ev, bound.watch)
-                                      : scpu.run_timing_batch(n, pre, ev);
+      const cpu::BatchResult br =
+          static_cast<cpu::SimpleCpu&>(*cpu_).run_trace_batch(n, ev, bound.watch);
       tick_ += br.ticks;
       tiers_.trace += br.traced;
       tiers_.batch += br.commits - br.traced;
@@ -389,28 +367,19 @@ RunResult Simulation::run(std::uint64_t watchdog_ticks, double wall_deadline_sec
 
     // Stall-cycle warping: when the CPU guarantees its next `stall` cycles
     // are pure stall-counter decrements, advance the clock in one step
-    // instead of that many no-op cycle() calls — unless an external event
-    // lands in the window: the watchdog deadline, a wall-clock sampling
-    // boundary, a due register/PC fault (sticky tick-relative behaviors
-    // re-apply every tick, so their due tick caps the window), or a
-    // scheduler tick event (none today — preemption is commit-indexed).
+    // instead of that many no-op cycle() calls — up to the next outside
+    // event, and short of a due register/PC fault (sticky tick-relative
+    // behaviors re-apply every tick, so their due tick caps the window).
     // Works under FI and commit observers: neither can fire on a commitless
     // pure-stall tick.
     if (cfg_.fastpath && try_warp) {
       if (const std::uint64_t stall = cpu_->stall_cycles(); stall != 0) {
-        std::uint64_t k = std::min(stall, deadline - tick_);
-        if (wall_limited) {
-          const std::uint64_t chunk = 0x1000 - (tick_ & 0xfffull);
-          if (chunk < k) k = chunk;
-        }
+        std::uint64_t k = std::min(stall, event_room());
         if (cfg_.fi_enabled && fm_.has_direct_faults()) {
           // Warped ticks skip set_now + apply_direct_faults; stop short of
           // the first tick at which an application could fire.
-          const std::uint64_t room = fm_.next_direct_fault_tick(tick_ + 1) - (tick_ + 1);
-          if (room < k) k = room;
+          k = std::min(k, fm_.next_direct_fault_tick(tick_ + 1) - (tick_ + 1));
         }
-        if (const std::uint64_t room = sched_.ticks_before_tick_event(tick_); room < k)
-          k = room;
         if (k != 0) {
           cpu_->warp(k);
           tick_ += k;

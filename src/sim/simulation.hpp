@@ -51,9 +51,9 @@ struct SimConfig {
   // carries them.
   bool predecode = true;                 // page-granular predecoded-inst cache
   // Timing-model fast lane: inline MRU cache hits + the fetch line buffer,
-  // stall-cycle warping, and the batched TimingSimple dispatch loop.
-  // Simulated ticks, outcomes and statistics are bit-identical either way
-  // (the lockstep suite proves it).
+  // and stall-cycle warping on both timing models. Simulated ticks,
+  // outcomes and statistics are bit-identical either way (the lockstep
+  // suite proves it); false is the per-tick reference.
   bool fastpath = true;
   // Fault-horizon fast mode: the superblock (threaded-code) tier above the
   // atomic interpreter. Under FI it runs up to the fault horizon — the
@@ -99,7 +99,7 @@ struct RunResult {
 /// scheduler's committed counts leave out).
 struct TierInsts {
   std::uint64_t trace = 0;     // superblock traces (fast mode)
-  std::uint64_t batch = 0;     // hook-free interpreter batches, atomic or timing
+  std::uint64_t batch = 0;     // hook-free atomic interpreter steps inside a trace batch
   std::uint64_t tick = 0;      // per-tick simple-model interpreter (FI hooks)
   std::uint64_t detailed = 0;  // per-tick pipelined model
 };

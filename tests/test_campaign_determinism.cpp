@@ -141,7 +141,7 @@ TEST(CampaignDeterminism, PredecodeDoesNotChangeCampaignRecords) {
   const std::vector<std::string> off = run_campaign_canonical(ca, base_config(false));
   ASSERT_EQ(on.size(), off.size());
   for (std::size_t i = 0; i < on.size(); ++i)
-    EXPECT_EQ(on[i], off[i]) << "record " << i << " differs with --no-predecode";
+    EXPECT_EQ(on[i], off[i]) << "record " << i << " differs with predecode=false";
 }
 
 }  // namespace

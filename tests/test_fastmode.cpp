@@ -129,7 +129,7 @@ class FastmodeApps : public ::testing::TestWithParam<std::string> {};
 TEST_P(FastmodeApps, GoldenRunBitIdenticalAndTierEngaged) {
   // fi_enabled with no faults loaded is the golden-campaign configuration:
   // the fault manager is quiescent, so fast mode stitches traces while the
-  // baseline (`--no-fastmode`) walks the per-tick hook loop — the exact A/B
+  // baseline (`fastmode=false`) walks the per-tick hook loop — the exact A/B
   // that bench_golden_rate measures. Everything simulated must match,
   // including the per-window fetch counts fast mode accumulates in bulk.
   const apps::App app = apps::build_app(GetParam());
@@ -140,7 +140,7 @@ TEST_P(FastmodeApps, GoldenRunBitIdenticalAndTierEngaged) {
   // The speedup claim is only honest if the tier actually ran the kernel.
   EXPECT_GT(fast.sb.exec_insts, 0u) << app.name << ": trace tier never engaged";
   EXPECT_GT(fast.sb.hits, 0u) << app.name;
-  EXPECT_EQ(slow.sb.exec_insts, 0u) << app.name << ": --no-fastmode still ran traces";
+  EXPECT_EQ(slow.sb.exec_insts, 0u) << app.name << ": fastmode=false still ran traces";
   EXPECT_EQ(slow.sb.builds, 0u) << app.name;
 }
 
@@ -793,7 +793,7 @@ TEST(FastmodeCampaign, CanonicalRecordsByteIdenticalAndReplayMatchesOnEitherTier
   ASSERT_EQ(lines[0].size(), kExperiments);
   ASSERT_EQ(lines[1].size(), kExperiments);
   for (std::size_t r = 0; r < kExperiments; ++r)
-    EXPECT_EQ(lines[0][r], lines[1][r]) << "record " << r << " differs with --no-fastmode";
+    EXPECT_EQ(lines[0][r], lines[1][r]) << "record " << r << " differs with fastmode=false";
 
   // The --replay contract: the isolated re-run reproduces the canonical
   // bytes on either tier.

@@ -9,12 +9,13 @@
 // (the page-version invalidation path).
 //
 // The second half proves the timing-model fast lane (MRU cache hits, the
-// fetch line buffer, stall-cycle warping and the batched TimingSimple loop)
-// tick-exact against the `--no-fastpath` per-tick reference: identical exit
-// reason, tick count, commit count, guest output, memory image AND the
-// L1I/L1D/L2 hit/miss/writeback counters — including under stage faults,
-// direct register/PC faults due inside a warped window, preemption, and a
-// watchdog that expires mid-stall.
+// fetch line buffer and stall-cycle warping) tick-exact against the
+// `fastpath=false` per-tick reference: identical exit reason, tick count,
+// commit count, guest output, memory image AND the L1I/L1D/L2
+// hit/miss/writeback counters — including under stage faults, direct
+// register/PC faults due inside a warped window, preemption, and a watchdog
+// that expires mid-stall. The last case wakes a sleeping thread inside a
+// trace batch or a warped stall on all three models.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -24,6 +25,7 @@
 #include "apps/app.hpp"
 #include "assembler/assembler.hpp"
 #include "fi/fault.hpp"
+#include "fi/syscall_fault.hpp"
 #include "sim/simulation.hpp"
 #include "util/bytesio.hpp"
 
@@ -276,7 +278,7 @@ TEST(LockstepSmc, StoreIntoCachedPageInvalidates) {
 // ---------------- batched fast dispatch loop vs the per-tick loop ---------
 //
 // With predecode on, no FI hooks and no commit observer, the atomic model
-// runs the batched fast dispatch loop; with --no-predecode it runs the
+// runs the batched fast dispatch loop; with predecode=false it runs the
 // legacy one-commit-per-tick loop. The two must agree on every observable:
 // outputs, tick and commit counts, the memory image, the exit status.
 
@@ -292,9 +294,11 @@ struct PlainSpec {
   sim::CpuKind cpu = sim::CpuKind::AtomicSimple;
   bool predecode = true;
   bool fastpath = true;
+  bool fastmode = true;
   bool small_caches = false;
   std::uint64_t quantum = 50000;
   std::uint64_t watchdog = 500'000'000ull;
+  std::string syscall_plan = {};  // empty: none
 };
 
 FastRun run_plain(const assembler::Program& prog, const PlainSpec& spec,
@@ -304,10 +308,13 @@ FastRun run_plain(const assembler::Program& prog, const PlainSpec& spec,
   cfg.fi_enabled = false;  // no stage hooks, no observer: batches may engage
   cfg.predecode = spec.predecode;
   cfg.fastpath = spec.fastpath;
+  cfg.fastmode = spec.fastmode;
   cfg.quantum_insts = spec.quantum;
   if (spec.small_caches) use_small_caches(cfg.mem);
   sim::Simulation s(cfg, prog);
   for (const std::uint64_t arg : thread_args) s.spawn_thread(prog.entry, {arg});
+  if (!spec.syscall_plan.empty())
+    s.syscall_injector().add_plan(fi::parse_syscall_plan(spec.syscall_plan));
   FastRun fr;
   fr.rr = s.run(spec.watchdog);
   for (std::size_t t = 0; t < thread_args.size(); ++t)
@@ -410,11 +417,11 @@ TEST(LockstepFastDispatch, WatchdogFiresAtTheSameTick) {
 
 // ---------------- the timing-model fast lane, fast vs slow ----------------
 //
-// cfg.fastpath gates the MRU cache hit path + fetch line buffer, stall-cycle
-// warping, and the batched TimingSimple dispatch loop; --no-fastpath reverts
-// all of them to the per-tick reference. run_traced() installs a commit
-// observer, so TimingSimple exercises the warp (not the batch) there; the
-// batch is covered by the observer-free run_plain() tests further down.
+// cfg.fastpath gates the MRU cache hit path + fetch line buffer and
+// stall-cycle warping; fastpath=false reverts both to the per-tick
+// reference. Both timing models run per tick with or without a commit
+// observer, so run_traced() and the observer-free run_plain() exercise the
+// same fast lane.
 
 constexpr sim::CpuKind kTimingModels[] = {sim::CpuKind::TimingSimple, sim::CpuKind::Pipelined};
 
@@ -544,75 +551,129 @@ TEST(LockstepFastLane, WatchdogExpiresInsideWarpedStallTickExact) {
   }
 }
 
-// ---------------- the batched TimingSimple loop (observer-free) -----------
-
-TEST(LockstepTimingBatch, MatchesPerTickLoopOnAllApps) {
-  for (const std::string& name : apps::app_names()) {
-    const apps::App app = apps::build_app(name);
-    for (const bool small : {false, true}) {
+TEST(LockstepFastLane, PreemptsOnTheExactSameInstruction) {
+  // Preemption is commit-indexed, so a warp never crosses it; a context
+  // switch must land on the same instruction and at the same tick as in the
+  // per-tick loop. The shared counter makes any drift architectural.
+  const assembler::Program prog = shared_counter_program();
+  for (const sim::CpuKind cpu : kTimingModels) {
+    for (const std::uint64_t quantum : {7ull, 50ull, 333ull}) {
       PlainSpec base;
-      base.cpu = sim::CpuKind::TimingSimple;
-      base.small_caches = small;
+      base.cpu = cpu;
+      base.small_caches = true;
+      base.quantum = quantum;
       PlainSpec off = base;
       off.fastpath = false;
-      const FastRun fast = run_plain(app.program, base, {0});
-      const FastRun slow = run_plain(app.program, off, {0});
-      const std::string label = lane_label(name, sim::CpuKind::TimingSimple, small);
+      const FastRun fast = run_plain(prog, base, {1, 2, 3});
+      const FastRun slow = run_plain(prog, off, {1, 2, 3});
+      const std::string label = lane_label("q=" + std::to_string(quantum), cpu, true);
+      ASSERT_EQ(fast.rr.reason, sim::ExitReason::AllThreadsExited) << label;
+      EXPECT_EQ(fast.rr.ticks, slow.rr.ticks) << label;
+      EXPECT_EQ(fast.rr.committed, slow.rr.committed) << label;
+      EXPECT_EQ(fast.outputs, slow.outputs) << label;
+      EXPECT_EQ(fast.mem_crc, slow.mem_crc) << label;
+      EXPECT_EQ(fast.cache, slow.cache) << label;
+    }
+  }
+}
+
+// ---------------- sleeper wakes bound every multi-tick step ---------------
+
+/// Two threads on one CPU. Thread 0 (a0 = 0) makes four sys_alloc calls,
+/// each parked by a latency plan, and after each wake prints the loader's
+/// progress counter. Thread 1 walks a 32 KiB region at a 64-byte stride —
+/// on the small caches every walk load misses — bumping that counter per
+/// load, and sets a done flag before it exits. The first three calls park
+/// while thread 1 runs, so their wakes land inside an atomic trace batch or
+/// a warped miss stall. The fourth comes only after the done flag, so every
+/// live thread sleeps and the run loop jumps the clock to the wake. With a
+/// short quantum the woken thread gets the CPU within a few commits, so a
+/// wake serviced late shows in the printed counters.
+assembler::Program sleeper_loader_program() {
+  Assembler as;
+  const DataRef counter = as.data_u64(std::uint64_t(0));
+  const DataRef done = as.data_u64(std::uint64_t(0));
+  const DataRef region = as.data_zeros(32 * 1024, 64);
+  const Label entry = as.here("main");
+  const Label loader = as.make_label("loader");
+  const auto parked_alloc = [&as] {
+    as.li(reg::a0, 64);
+    as.li(reg::v0, 1);  // sys_alloc
+    as.syscall_();
+  };
+  const auto print_counter = [&as] {
+    as.ldq(reg::t0, 0, reg::s2);
+    as.print_int_r(reg::t0);
+    as.li(reg::t0, ',');
+    as.print_char_r(reg::t0);
+  };
+  as.bne(reg::a0, loader);
+
+  as.la(reg::s2, counter);
+  as.la(reg::s3, done);
+  as.li(reg::s0, 3);
+  const Label again = as.here("again");
+  parked_alloc();
+  print_counter();
+  as.subq_i(reg::s0, 1, reg::s0);
+  as.bne(reg::s0, again);
+  const Label wait = as.here("wait");
+  as.ldq(reg::t0, 0, reg::s3);
+  as.beq(reg::t0, wait);
+  parked_alloc();  // the loader has exited: every live thread sleeps
+  print_counter();
+  as.mov_i(0, reg::a0);
+  as.exit_();
+
+  as.bind(loader);
+  as.la(reg::s2, counter);
+  as.la(reg::s3, done);
+  as.la(reg::s4, region);
+  as.li(reg::s0, 512);
+  const Label walk = as.here("walk");
+  as.ldq(reg::t0, 0, reg::s4);
+  as.lda(reg::s4, 64, reg::s4);
+  as.ldq(reg::t1, 0, reg::s2);
+  as.addq_i(reg::t1, 1, reg::t1);
+  as.stq(reg::t1, 0, reg::s2);
+  as.subq_i(reg::s0, 1, reg::s0);
+  as.bne(reg::s0, walk);
+  as.li(reg::t0, 1);
+  as.stq(reg::t0, 0, reg::s3);
+  as.mov_i(0, reg::a0);
+  as.exit_();
+  return as.finalize(entry);
+}
+
+TEST(LockstepEventBound, SleeperWakesInsideBatchOrStallTickExact) {
+  // The trace batch, the stall warp and the all-asleep jump share one bound,
+  // whose sleeper term ends each of them on the wake tick. A batch or jump
+  // that overshoots it moves the woken thread's schedule, which the
+  // per-tick reference shows in the printed counters and the tick count.
+  const assembler::Program prog = sleeper_loader_program();
+  for (const sim::CpuKind cpu : kModels) {
+    for (const std::uint64_t latency : {9ull, 150ull, 1001ull, 4099ull}) {
+      PlainSpec fast_spec;
+      fast_spec.cpu = cpu;
+      fast_spec.small_caches = true;
+      fast_spec.quantum = 20;
+      fast_spec.syscall_plan = "alloc@idx:1-4 latency:" + std::to_string(latency);
+      PlainSpec slow_spec = fast_spec;
+      slow_spec.fastpath = false;
+      slow_spec.fastmode = false;
+      const FastRun fast = run_plain(prog, fast_spec, {0, 1});
+      const FastRun slow = run_plain(prog, slow_spec, {0, 1});
+      const std::string label = lane_label("latency " + std::to_string(latency), cpu, true);
       ASSERT_EQ(fast.rr.reason, sim::ExitReason::AllThreadsExited) << label;
       EXPECT_EQ(fast.rr.reason, slow.rr.reason) << label;
       EXPECT_EQ(fast.rr.ticks, slow.rr.ticks) << label;
       EXPECT_EQ(fast.rr.committed, slow.rr.committed) << label;
       EXPECT_EQ(fast.outputs, slow.outputs) << label;
       EXPECT_EQ(fast.mem_crc, slow.mem_crc) << label;
-      EXPECT_EQ(fast.cache, slow.cache) << label << ": cache counters diverged";
+      EXPECT_EQ(fast.cache, slow.cache) << label;
+      // The last wake comes after the loader's 512 loads.
+      EXPECT_TRUE(fast.outputs[0].ends_with(",512,")) << label << ": " << fast.outputs[0];
     }
-  }
-}
-
-TEST(LockstepTimingBatch, PreemptsOnTheExactSameInstruction) {
-  // The timing batch stops at the commit bound the scheduler hands it, so a
-  // context switch lands on the same instruction — and, because latency
-  // accrues with the instruction that incurs it, at the same tick — as the
-  // per-tick loop. The shared counter makes any drift architectural.
-  const assembler::Program prog = shared_counter_program();
-  for (const std::uint64_t quantum : {7ull, 50ull, 333ull}) {
-    PlainSpec base;
-    base.cpu = sim::CpuKind::TimingSimple;
-    base.small_caches = true;
-    base.quantum = quantum;
-    PlainSpec off = base;
-    off.fastpath = false;
-    const FastRun fast = run_plain(prog, base, {1, 2, 3});
-    const FastRun slow = run_plain(prog, off, {1, 2, 3});
-    ASSERT_EQ(fast.rr.reason, sim::ExitReason::AllThreadsExited) << "q=" << quantum;
-    EXPECT_EQ(fast.rr.ticks, slow.rr.ticks) << "q=" << quantum;
-    EXPECT_EQ(fast.rr.committed, slow.rr.committed) << "q=" << quantum;
-    EXPECT_EQ(fast.outputs, slow.outputs) << "q=" << quantum;
-    EXPECT_EQ(fast.mem_crc, slow.mem_crc) << "q=" << quantum;
-    EXPECT_EQ(fast.cache, slow.cache) << "q=" << quantum;
-  }
-}
-
-TEST(LockstepTimingBatch, WatchdogExpiresMidStall) {
-  // A batch boundary can land while an instruction's latency is still
-  // draining; the batch must park the residue (busy_ + the pending commit)
-  // exactly as the per-tick loop would, with the commit not yet counted.
-  const assembler::Program prog = dram_stride_program();
-  for (std::uint64_t wd = 600; wd < 616; ++wd) {
-    PlainSpec base;
-    base.cpu = sim::CpuKind::TimingSimple;
-    base.small_caches = true;
-    base.watchdog = wd;
-    PlainSpec off = base;
-    off.fastpath = false;
-    const FastRun fast = run_plain(prog, base, {0});
-    const FastRun slow = run_plain(prog, off, {0});
-    ASSERT_EQ(fast.rr.reason, sim::ExitReason::Watchdog) << "wd=" << wd;
-    EXPECT_EQ(fast.rr.reason, slow.rr.reason) << "wd=" << wd;
-    EXPECT_EQ(fast.rr.ticks, wd) << "wd=" << wd;
-    EXPECT_EQ(fast.rr.ticks, slow.rr.ticks) << "wd=" << wd;
-    EXPECT_EQ(fast.rr.committed, slow.rr.committed) << "wd=" << wd;
-    EXPECT_EQ(fast.cache, slow.cache) << "wd=" << wd;
   }
 }
 

@@ -239,7 +239,7 @@ TEST(Cache, SerializationRebuildsMruState) {
 
 TEST(Cache, MruFastPathIsObservationallyIdentical) {
   // Differential fuzz of the inline MRU hit path against the ways-wide scan
-  // (`--no-fastpath`): same sequence, same observables, every access.
+  // (`fastpath=false`): same sequence, same observables, every access.
   Cache fast({.size_bytes = 2048, .line_bytes = 64, .ways = 4});
   Cache slow({.size_bytes = 2048, .line_bytes = 64, .ways = 4});
   slow.set_mru_enabled(false);
