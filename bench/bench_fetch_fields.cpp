@@ -72,29 +72,21 @@ int main(int argc, char** argv) {
   std::map<std::string, Cell> table;
 
   util::Rng rng(opt.seed ^ 0xfe7c);
+  const auto baseline = campaign::campaign_baseline(ca, cfg);
+  campaign::ExperimentWorker ew(ca, baseline ? &*baseline : nullptr, cfg);
   for (std::size_t i = 0; i < n; ++i) {
     const fi::Fault f = campaign::random_fault(rng, fi::FaultLocation::Fetch,
                                                ca.kernel_fetches);
-    // Re-run the experiment but keep the manager state to read the original
-    // word at the fault site.
-    sim::SimConfig scfg;
-    scfg.cpu = cfg.cpu;
-    scfg.switch_to_atomic_after_fault = true;
-    sim::Simulation s(scfg, ca.app.program);
-    s.spawn_main_thread();
-    ca.checkpoint.restore_into(s);
-    s.fault_manager().load_faults({f});
-    const auto rr = s.run(cfg.watchdog_mult * ca.golden_ticks + 1'000'000);
-    const auto c = campaign::classify(ca.app, rr, s.fault_manager(), s.output(0));
-
-    const auto& st = s.fault_manager().states()[0];
+    const campaign::ExperimentResult er = ew.run(f);
+    // The fault manager's state holds the original word at the fault site.
+    const auto& st = ew.simulation().fault_manager().states()[0];
     const char* field = "not-injected";
     if (st.applied > 0) {
       const isa::Decoded original = isa::decode(isa::Word(st.original_value));
       field = classify_bit(original, unsigned(f.operand % 32));
     }
     Cell& cell = table[field];
-    ++cell.counts[std::size_t(c.outcome)];
+    ++cell.counts[std::size_t(er.classification.outcome)];
     ++cell.total;
   }
 

@@ -117,7 +117,7 @@ RestoreCompare measure_restore(const campaign::CalibratedApp& ca,
   scfg.cpu = cfg.cpu;
   scfg.fi_enabled = true;
   scfg.switch_to_atomic_after_fault = cfg.switch_to_atomic_after_fault;
-  const std::uint64_t watchdog = cfg.watchdog_mult * ca.golden_ticks + 1'000'000;
+  const std::uint64_t watchdog = campaign::watchdog_ticks(ca, cfg);
 
   std::array<std::size_t, apps::kNumOutcomes> full_counts{}, dirty_counts{};
 

@@ -35,6 +35,8 @@ int main(int argc, char** argv) {
     std::printf("%6s %8s %12s %10s %12s %8s\n", "Vdd", "power%", "upsets/run",
                 "accept%", "crash%", "sdc%");
     util::Rng rng(opt.seed ^ std::hash<std::string>{}(name));
+    const auto baseline = campaign::campaign_baseline(ca, cfg);
+    campaign::ExperimentWorker ew(ca, baseline ? &*baseline : nullptr, cfg);
     for (const double vdd : levels) {
       std::size_t outcomes[apps::kNumOutcomes] = {};
       double total_faults = 0;
@@ -46,16 +48,7 @@ int main(int argc, char** argv) {
           continue;
         }
         // One experiment carries the whole Poisson batch of upsets.
-        sim::SimConfig scfg;
-        scfg.cpu = cfg.cpu;
-        scfg.switch_to_atomic_after_fault = faults.size() == 1;
-        sim::Simulation s(scfg, ca.app.program);
-        s.spawn_main_thread();
-        ca.checkpoint.restore_into(s);
-        s.fault_manager().load_faults(faults);
-        const auto rr = s.run(cfg.watchdog_mult * ca.golden_ticks + 1'000'000);
-        const auto c = campaign::classify(ca.app, rr, s.fault_manager(), s.output(0));
-        ++outcomes[std::size_t(c.outcome)];
+        ++outcomes[std::size_t(ew.run(faults).classification.outcome)];
       }
       const double accept =
           double(outcomes[std::size_t(apps::Outcome::StrictlyCorrect)] +

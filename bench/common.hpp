@@ -75,13 +75,9 @@ void json_record(const std::string& metric, double value, const std::string& uni
                  const std::string& config);
 
 /// Serialize all recorded metrics to `path` as a BENCH_<name>.json document
-/// and verify the written bytes parse (json_valid). No-op (returning true)
-/// when `path` is empty; returns false on I/O or self-check failure.
+/// and verify the written bytes parse (campaign::jsonl::parse). No-op
+/// (returning true) when `path` is empty; returns false on I/O or self-check
+/// failure.
 bool json_write(const std::string& path, const std::string& bench_name);
-
-/// Minimal JSON syntax validator (objects, arrays, strings, numbers, bools,
-/// null) — enough for CI to assert the sink emits well-formed documents
-/// without a JSON library dependency.
-bool json_valid(const std::string& text);
 
 }  // namespace gemfi::bench

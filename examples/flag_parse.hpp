@@ -41,6 +41,19 @@ inline std::uint16_t parse_u16_flag(const char* flag, const std::string& text) {
   return std::uint16_t(v);
 }
 
+/// A count of at least 1 (and at most `max`). Zero exits 2 naming the flag:
+/// a CLI that took it would read "a count of nothing" as "flag absent".
+inline std::uint64_t parse_count_flag(const char* flag, const std::string& text,
+                                      std::uint64_t max = ~0u) {
+  const std::uint64_t v = parse_u64_flag(flag, text);
+  if (v > max) bad_value(flag, text);
+  if (v == 0) {
+    std::fprintf(stderr, "--%s must be at least 1\n", flag);
+    std::exit(2);
+  }
+  return v;
+}
+
 inline double parse_f64_flag(const char* flag, const std::string& text) {
   char* end = nullptr;
   errno = 0;

@@ -112,7 +112,7 @@ namespace {
   std::exit(2);
 }
 
-using cliflags::bad_value;
+using cliflags::parse_count_flag;
 using cliflags::parse_f64_flag;
 using cliflags::parse_u16_flag;
 using cliflags::parse_u32_flag;
@@ -140,6 +140,50 @@ campaign::jsonl::Value replay_comparable(const std::string& line) {
        {"worker", "wall_seconds", "fastmode", "ckpt_format", "restore_pages", "restore_bytes"})
     v.object.erase(host_key);
   return v;
+}
+
+/// Run `faults` once (a --program run or a single run) and report it: the
+/// guest output on stdout; the exit, the outcome when `classified`, the
+/// syscall taxonomy and, with `show_log`, the injection log on stderr.
+/// Returns 1 if the guest crashed, 2 on a simulator-internal error.
+int run_and_report(const campaign::CalibratedApp& ca,
+                   const std::vector<fi::Fault>& faults,
+                   const campaign::CampaignConfig& cfg, bool classified, bool show_log) {
+  campaign::ExperimentWorker ew(ca, nullptr, cfg);
+  campaign::ExperimentResult er;
+  try {
+    er = ew.run(faults);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "simulator error: %s\n", e.what());
+    return 2;
+  }
+  const sim::Simulation& s = ew.simulation();
+  const bool crashed = er.exit_reason == sim::ExitReason::Crashed;
+  std::printf("%s", s.output(0).c_str());
+  std::fprintf(stderr, "exit: %s", sim::exit_reason_name(er.exit_reason));
+  if (crashed)
+    std::fprintf(stderr, " (%s at pc=0x%llx)", cpu::trap_name(er.trap),
+                 (unsigned long long)er.crash_pc);
+  std::fprintf(stderr, "\n");
+  if (classified) {
+    const campaign::Classification& c = er.classification;
+    std::fprintf(stderr, "outcome: %s", apps::outcome_name(c.outcome));
+    if (c.outcome == apps::Outcome::Correct ||
+        c.outcome == apps::Outcome::AttackEffective)
+      std::fprintf(stderr, " (metric %.3f)", c.metric);
+    std::fprintf(stderr, "\n");
+  }
+  if (!er.syscall_plans.empty()) {
+    const campaign::SyscallClassification& sc = er.syscall_class;
+    std::fprintf(stderr, "syscalls: %s (cascade %u, %llu injected%s)\n",
+                 campaign::syscall_outcome_name(sc.outcome), sc.cascade_len,
+                 (unsigned long long)er.syscalls_injected,
+                 sc.unrealistic ? ", unrealistic errno" : "");
+  }
+  if (show_log)
+    for (const auto& line : s.fault_manager().injection_log())
+      std::fprintf(stderr, "inject: %s\n", line.c_str());
+  return crashed ? 1 : 0;
 }
 
 /// What one invocation does, settled after parsing.
@@ -199,12 +243,12 @@ int main(int argc, char** argv) {
   std::uint64_t watchdog_mult = 8;
   bool show_log = false;
   bool progress = false;
-  std::uint64_t campaign_n = 0;
+  std::uint64_t campaign_n = 0;  // 0: no --campaign (a given count is >= 1)
   std::uint64_t campaign_seed = 42;
   std::int64_t replay_index = -1;
   std::string record_path;  // --replay: original campaign JSONL to check against
   unsigned workers = 1;
-  unsigned now_local = 0;
+  unsigned now_local = 0;  // 0: no --now-local (a given count is >= 1)
   // NoW master settings: --stop-ci, --bind, --port, --worker-timeout.
   campaign::DispatchConfig dcfg;
   dcfg.handle_sigint = true;  // ^C drains gracefully, partial JSONL survives
@@ -240,7 +284,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--log") {
       show_log = true;
     } else if (arg.rfind("--campaign=", 0) == 0) {
-      campaign_n = parse_u64_flag("campaign", arg.substr(11));
+      campaign_n = parse_count_flag("campaign", arg.substr(11), ~0ull);
     } else if (arg.rfind("--seed=", 0) == 0) {
       campaign_seed = parse_u64_flag("seed", arg.substr(7));
     } else if (arg.rfind("--replay=", 0) == 0) {
@@ -248,9 +292,9 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--record=", 0) == 0) {
       record_path = arg.substr(9);
     } else if (arg.rfind("--workers=", 0) == 0) {
-      workers = parse_u32_flag("workers", arg.substr(10));
+      workers = unsigned(parse_count_flag("workers", arg.substr(10)));
     } else if (arg.rfind("--now-local=", 0) == 0) {
-      now_local = parse_u32_flag("now-local", arg.substr(12));
+      now_local = unsigned(parse_count_flag("now-local", arg.substr(12)));
     } else if (arg.rfind("--stop-ci=", 0) == 0) {
       try {
         dcfg.stop = campaign::parse_stop_ci(arg.substr(10));
@@ -267,7 +311,7 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--worker-timeout=", 0) == 0) {
       dcfg.worker_timeout_s = parse_f64_flag("worker-timeout", arg.substr(17));
     } else if (arg.rfind("--slots=", 0) == 0) {
-      slots = parse_u32_flag("slots", arg.substr(8));
+      slots = unsigned(parse_count_flag("slots", arg.substr(8)));
     } else if (arg.rfind("--retries=", 0) == 0) {
       retries = parse_u32_flag("retries", arg.substr(10));
     } else if (arg.rfind("--deadline=", 0) == 0) {
@@ -339,7 +383,7 @@ int main(int argc, char** argv) {
   cfg.cpu = cpu;
   cfg.watchdog_mult = watchdog_mult;
   cfg.switch_to_atomic_after_fault = true;
-  cfg.workers = workers == 0 ? 1 : workers;
+  cfg.workers = workers;
   cfg.campaign_seed = campaign_seed;
   cfg.deadline_seconds = deadline;
   cfg.max_retries = retries;
@@ -348,30 +392,20 @@ int main(int argc, char** argv) {
 
   if (!program_path.empty()) {
     // User-supplied .s file: assemble, run (with faults, if any), report.
-    assembler::Program prog;
+    // There is no golden run to classify against or to size the watchdog by.
+    campaign::CalibratedApp prog;
+    prog.app.name = program_path;
     try {
-      prog = assembler::assemble_file(program_path);
+      prog.app.program = assembler::assemble_file(program_path);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "%s\n", e.what());
       return 2;
     }
-    sim::SimConfig scfg;
-    scfg.cpu = cpu;
-    sim::Simulation s(scfg, prog);
-    s.spawn_main_thread();
-    s.fault_manager().load_faults(faults);
-    for (const fi::SyscallFaultPlan& p : syscall_plans) s.syscall_injector().add_plan(p);
-    const sim::RunResult rr = s.run(500'000'000ull);
-    std::printf("%s", s.output(0).c_str());
-    std::fprintf(stderr, "exit: %s", sim::exit_reason_name(rr.reason));
-    if (rr.crashed())
-      std::fprintf(stderr, " (%s at pc=0x%llx)", cpu::trap_name(rr.trap.kind),
-                   (unsigned long long)rr.crash_pc);
-    std::fprintf(stderr, "\n");
-    if (show_log)
-      for (const auto& line : s.fault_manager().injection_log())
-        std::fprintf(stderr, "inject: %s\n", line.c_str());
-    return rr.crashed() ? 1 : 0;
+    prog.golden_ticks = 500'000'000;  // watchdog: ~500M ticks at multiplier 1
+    cfg.watchdog_mult = 1;
+    cfg.use_checkpoint = false;
+    cfg.switch_to_atomic_after_fault = false;
+    return run_and_report(prog, faults, cfg, /*classified=*/false, show_log);
   }
 
   std::fprintf(stderr, "calibrating %s on the %s model...\n", app_name.c_str(),
@@ -548,39 +582,5 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  sim::SimConfig scfg;
-  scfg.cpu = cpu;
-  scfg.switch_to_atomic_after_fault = faults.size() == 1;
-  sim::Simulation s(scfg, ca.app.program);
-  s.spawn_main_thread();
-  ca.checkpoint.restore_into(s);
-  s.fault_manager().load_faults(faults);
-  for (const fi::SyscallFaultPlan& p : syscall_plans) s.syscall_injector().add_plan(p);
-  const sim::RunResult rr = s.run(watchdog_mult * ca.golden_ticks + 1'000'000);
-  const auto c = campaign::classify(ca.app, rr, s.fault_manager(), s.output(0));
-
-  std::printf("%s", s.output(0).c_str());
-  std::fprintf(stderr, "exit: %s", sim::exit_reason_name(rr.reason));
-  if (rr.crashed())
-    std::fprintf(stderr, " (%s at pc=0x%llx)", cpu::trap_name(rr.trap.kind),
-                 (unsigned long long)rr.crash_pc);
-  std::fprintf(stderr, "\noutcome: %s", apps::outcome_name(c.outcome));
-  if (c.outcome == apps::Outcome::Correct ||
-      c.outcome == apps::Outcome::AttackEffective)
-    std::fprintf(stderr, " (metric %.3f)", c.metric);
-  std::fprintf(stderr, "\n");
-  if (!syscall_plans.empty()) {
-    bool unhandled = rr.reason != sim::ExitReason::AllThreadsExited;
-    for (std::uint64_t tid = 0; tid < s.scheduler().thread_count(); ++tid)
-      if (s.scheduler().thread(tid).exit_code != 0) unhandled = true;
-    const auto sc = campaign::classify_syscalls(s.syscalls().full_trace(), unhandled);
-    std::fprintf(stderr, "syscalls: %s (cascade %u, %llu injected%s)\n",
-                 campaign::syscall_outcome_name(sc.outcome), sc.cascade_len,
-                 (unsigned long long)s.syscalls().injected_calls(),
-                 sc.unrealistic ? ", unrealistic errno" : "");
-  }
-  if (show_log)
-    for (const auto& line : s.fault_manager().injection_log())
-      std::fprintf(stderr, "inject: %s\n", line.c_str());
-  return rr.crashed() ? 1 : 0;
+  return run_and_report(ca, faults, cfg, /*classified=*/true, show_log);
 }

@@ -7,7 +7,9 @@
 // Usage:
 //   gemfi_now_worker --host=<master> --port=<p> [--slots=<k>]
 //       [--reconnects=<n>]   re-establish a lost connection up to n times
-//       [--connect-attempts=<n>] [--connect-backoff=<s>]
+//
+// Each connection attempt retries for about 30 s, so workers may start
+// before their master.
 //
 // Exit codes: 0 clean shutdown from the master, 1 connection lost for good,
 // 2 never connected.
@@ -25,8 +27,7 @@ namespace {
 
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s --host=<master> --port=<p> [--slots=<k>] [--reconnects=<n>]\n"
-               "           [--connect-attempts=<n>] [--connect-backoff=<s>]\n",
+               "usage: %s --host=<master> --port=<p> [--slots=<k>] [--reconnects=<n>]\n",
                argv0);
   std::exit(2);
 }
@@ -41,17 +42,12 @@ int main(int argc, char** argv) {
     else if (arg.rfind("--port=", 0) == 0)
       wcfg.port = parse_u16_flag("port", arg.substr(7));
     else if (arg.rfind("--slots=", 0) == 0)
-      wcfg.slots = parse_u32_flag("slots", arg.substr(8));
+      wcfg.slots = unsigned(parse_count_flag("slots", arg.substr(8)));
     else if (arg.rfind("--reconnects=", 0) == 0)
       wcfg.max_reconnects = parse_u32_flag("reconnects", arg.substr(13));
-    else if (arg.rfind("--connect-attempts=", 0) == 0)
-      wcfg.connect_attempts = parse_u32_flag("connect-attempts", arg.substr(19));
-    else if (arg.rfind("--connect-backoff=", 0) == 0)
-      wcfg.connect_backoff_s = parse_f64_flag("connect-backoff", arg.substr(18));
     else usage(argv[0]);
   }
   if (wcfg.port == 0) usage(argv[0]);
-  if (wcfg.slots == 0) wcfg.slots = 1;
 
   std::fprintf(stderr, "worker: connecting to %s:%u with %u slots\n",
                wcfg.host.c_str(), unsigned(wcfg.port), wcfg.slots);

@@ -2,16 +2,16 @@
 //
 // We assemble a tiny guest program with the GemFI intrinsics
 // (fi_read_init_all / fi_activate_inst), describe one fault in the paper's
-// input-file syntax, run the simulation, and show the fault-free vs faulty
-// results plus GemFI's injection log (the "information on the affected
-// assembly instruction" used for post-mortem analysis).
+// input-file syntax, run it as one experiment from the fi_read_init_all()
+// checkpoint, and show the fault-free vs faulty results, the outcome class
+// and GemFI's injection log (the "information on the affected assembly
+// instruction" used for post-mortem analysis).
 //
 //   $ ./quickstart
 #include <cstdio>
 
 #include "assembler/assembler.hpp"
-#include "fi/fault.hpp"
-#include "sim/simulation.hpp"
+#include "campaign/runner.hpp"
 
 using namespace gemfi;
 using namespace gemfi::assembler;
@@ -47,30 +47,22 @@ Program make_program() {
   return as.finalize(entry);
 }
 
-sim::RunResult run(const Program& prog, const std::string& fault_line,
-                   std::string& output, std::vector<std::string>& log) {
-  sim::SimConfig cfg;
-  cfg.cpu = sim::CpuKind::Pipelined;
-  sim::Simulation s(cfg, prog);
-  s.spawn_main_thread();
-  if (!fault_line.empty()) s.fault_manager().load_faults({fi::parse_fault(fault_line)});
-  const sim::RunResult rr = s.run(100'000'000);
-  output = s.output(0);
-  log = s.fault_manager().injection_log();
-  return rr;
-}
-
 }  // namespace
 
 int main() {
-  const Program prog = make_program();
-  std::printf("guest program: %zu instructions, entry 0x%llx\n", prog.code.size(),
-              (unsigned long long)prog.entry);
+  apps::App app;
+  app.name = "quickstart";
+  app.program = make_program();
+  app.golden_output = "sum=5050\n";  // 1 + 2 + ... + 100
+  std::printf("guest program: %zu instructions, entry 0x%llx\n", app.program.code.size(),
+              (unsigned long long)app.program.entry);
 
-  std::string golden;
-  std::vector<std::string> log;
-  run(prog, "", golden, log);
-  std::printf("fault-free run -> %s", golden.c_str());
+  // The fault-free run: it checks the guest against its golden output and
+  // takes the checkpoint at fi_read_init_all() that every experiment
+  // restores.
+  const campaign::CampaignConfig cfg;  // pipelined model, checkpointed
+  const campaign::CalibratedApp ca = campaign::calibrate(std::move(app), cfg);
+  std::printf("fault-free run -> %s", ca.app.golden_output.c_str());
 
   // The paper's Listing 1, adapted: flip bit 21 of integer register s0 (R9)
   // when the thread fetches its 57th instruction after fi_activate_inst.
@@ -78,16 +70,20 @@ int main() {
       "RegisterInjectedFault Inst:57 Flip:21 Threadid:0 system.cpu0 occ:1 int 9";
   std::printf("\nfault config   -> %s\n", fault_line.c_str());
 
-  std::string faulty;
-  const sim::RunResult rr = run(prog, fault_line, faulty, log);
-  if (rr.crashed()) {
-    std::printf("faulty run     -> CRASH: %s at pc=0x%llx\n",
-                cpu::trap_name(rr.trap.kind), (unsigned long long)rr.crash_pc);
+  campaign::ExperimentWorker ew(ca, nullptr, cfg);
+  const campaign::ExperimentResult er = ew.run(fi::parse_fault(fault_line));
+  const std::string& faulty = ew.simulation().output(0);
+  if (er.exit_reason == sim::ExitReason::Crashed) {
+    std::printf("faulty run     -> CRASH: %s at pc=0x%llx\n", cpu::trap_name(er.trap),
+                (unsigned long long)er.crash_pc);
   } else {
     std::printf("faulty run     -> %s", faulty.c_str());
   }
-  for (const auto& line : log) std::printf("injection log  -> %s\n", line.c_str());
+  for (const auto& line : ew.simulation().fault_manager().injection_log())
+    std::printf("injection log  -> %s\n", line.c_str());
+  std::printf("outcome        -> %s\n", apps::outcome_name(er.classification.outcome));
   std::printf("\nthe flipped bit adds 2^21=2097152 to the running sum: %s\n",
-              faulty == golden ? "masked (fault landed on a dead value)" : "observed");
+              faulty == ca.app.golden_output ? "masked (fault landed on a dead value)"
+                                             : "observed");
   return 0;
 }

@@ -66,12 +66,8 @@ struct App {
   /// iteration-count line; null means plain string equality).
   std::function<bool(const std::string& output, const std::string& golden)> strict_equal;
 
-  /// Golden (fault-free) output; filled by calibrate().
+  /// Golden (fault-free) output.
   std::string golden_output;
-  /// Fault-free run costs, used for watchdogs and uniform time sampling.
-  std::uint64_t golden_insts = 0;       // committed instructions (kernel+init)
-  std::uint64_t golden_kernel_insts = 0;  // fetched while FI active
-  std::uint64_t golden_ticks = 0;
 
   [[nodiscard]] bool outputs_strictly_equal(const std::string& out) const {
     if (strict_equal) return strict_equal(out, golden_output);

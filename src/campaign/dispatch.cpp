@@ -42,6 +42,12 @@ constexpr std::size_t kMaxMasterFrame = std::size_t(1) << 31;
 /// kResultFlushS / 2 reach that cap.
 constexpr double kResultFlushS = 0.004;
 
+/// Tries per worker connect() call, with exponential backoff starting at
+/// kConnectBackoffS (capped at 2 s): about 30 s in all, long enough for a
+/// master that starts after its workers.
+constexpr unsigned kConnectAttempts = 20;
+constexpr double kConnectBackoffS = 0.1;
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -332,8 +338,8 @@ int run_worker(const WorkerConfig& wcfg) {
   for (;;) {
     net::TcpConn conn;
     try {
-      conn = net::TcpConn::connect(wcfg.host, wcfg.port, wcfg.connect_attempts,
-                                   wcfg.connect_backoff_s);
+      conn = net::TcpConn::connect(wcfg.host, wcfg.port, kConnectAttempts,
+                                   kConnectBackoffS);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "gemfi worker: %s\n", e.what());
       return 2;

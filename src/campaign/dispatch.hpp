@@ -115,11 +115,10 @@ struct WorkerConfig {
   std::uint16_t port = 0;
   unsigned slots = 1;  // parallel experiments in this worker process
 
-  /// Connect/reconnect budget: attempts per connect() call, with exponential
-  /// backoff starting at backoff_s; and how many times a *lost established*
-  /// connection may be re-established before the worker gives up.
-  unsigned connect_attempts = 20;
-  double connect_backoff_s = 0.1;
+  /// How many times a *lost established* connection may be re-established
+  /// before the worker gives up. Each connect() call itself makes
+  /// kConnectAttempts tries with exponential backoff from kConnectBackoffS
+  /// (dispatch.cpp).
   unsigned max_reconnects = 3;
 };
 

@@ -38,99 +38,18 @@ sim::SimConfig make_sim_config(const CampaignConfig& cfg) {
   return scfg;
 }
 
-/// Everything after the simulation is positioned (fresh or restored): arm
-/// the fault and the syscall plans, run under the watchdog, classify.
-/// Shared by the per-experiment and the persistent-worker paths. Does not
-/// fill wall_seconds.
-ExperimentResult execute_faulted_run(sim::Simulation& s, const CalibratedApp& ca,
-                                     const fi::Fault& fault, const CampaignConfig& cfg,
-                                     std::uint64_t start_ticks,
-                                     const std::vector<fi::SyscallFaultPlan>& plans) {
-  ExperimentResult er;
-  er.fault = fault;
-  er.time_fraction = ca.kernel_fetches == 0
-                         ? 0.0
-                         : double(fault.time) / double(ca.kernel_fetches);
-  s.fault_manager().load_faults({fault});
-  s.syscall_injector().clear();
-  for (const fi::SyscallFaultPlan& p : plans) s.syscall_injector().add_plan(p);
-
-  const std::uint64_t watchdog =
-      cfg.watchdog_mult * ca.golden_ticks + 1'000'000;
-  const sim::RunResult rr = s.run(watchdog, cfg.deadline_seconds);
-
-  er.exit_reason = rr.reason;
-  er.trap = rr.trap.kind;
-  er.fault_applied = s.fault_manager().any_applied();
-  // A checkpoint restore resumes the tick counter at ticks_to_checkpoint, so
-  // rr.ticks >= start_ticks is an invariant; guard it anyway so a violation
-  // surfaces as a zero instead of an underflowed ~1.8e19 that would wreck
-  // every mean-duration statistic downstream.
-  assert(rr.ticks >= start_ticks && "experiment ended before its checkpoint tick");
-  er.sim_ticks = rr.ticks >= start_ticks ? rr.ticks - start_ticks : 0;
-  er.classification = classify(ca.app, rr, s.fault_manager(), s.output(0));
-
-  if (!plans.empty()) {
-    er.syscall_plans = plans;
-    er.syscalls_injected = s.syscalls().injected_calls();
-    // "The guest did not recover": it never terminated on its own, a trap
-    // killed it, or a thread bailed out through its error-exit path.
-    bool unhandled = rr.reason != sim::ExitReason::AllThreadsExited;
-    const os::Scheduler& sched = s.scheduler();
-    for (std::uint64_t tid = 0; tid < sched.thread_count(); ++tid)
-      if (sched.thread(tid).exit_code != 0) unhandled = true;
-    er.syscall_class = classify_syscalls(s.syscalls().full_trace(), unhandled);
-  }
-  return er;
+double time_fraction(const CalibratedApp& ca, const fi::Fault& fault) {
+  return ca.kernel_fetches == 0 ? 0.0 : double(fault.time) / double(ca.kernel_fetches);
 }
 
-/// The campaign robustness policy shared by run_experiment_with_retry and
-/// ExperimentWorker::run_with_retry: retry deadline exits and simulator-
-/// internal exceptions with a backed-off deadline; after the last retry,
-/// report the error as a Crashed record instead of throwing.
-template <typename Attempt, typename OnError>
-ExperimentResult retry_policy(const CalibratedApp& ca, const fi::Fault& fault,
-                              const CampaignConfig& cfg, Attempt attempt_fn,
-                              OnError on_error) {
-  const auto t0 = Clock::now();
-  CampaignConfig attempt_cfg = cfg;
-  for (unsigned attempt = 0;; ++attempt) {
-    const bool last = attempt >= cfg.max_retries;
-    try {
-      ExperimentResult er = attempt_fn(attempt_cfg);
-      // A deadline exit may be host contention rather than an effect of the
-      // injected fault: retry with a longer leash. Tick-watchdog exits are
-      // deterministic in simulated time and are never retried.
-      if (er.exit_reason == sim::ExitReason::Deadline && !last) {
-        attempt_cfg.deadline_seconds *= kRetryBackoff;
-        continue;
-      }
-      er.retries = attempt;
-      er.wall_seconds = seconds_since(t0);
-      return er;
-    } catch (const std::exception& e) {
-      on_error();
-      if (!last) {
-        if (attempt_cfg.deadline_seconds > 0.0)
-          attempt_cfg.deadline_seconds *= kRetryBackoff;
-        continue;
-      }
-      // Simulator-internal failure survived every retry: report it as a
-      // crash carrying the message, so the campaign completes and the
-      // record points at the substrate rather than the injected fault.
-      ExperimentResult er;
-      er.fault = fault;
-      er.retries = attempt;
-      er.sim_error = e.what();
-      er.exit_reason = sim::ExitReason::Crashed;
-      er.classification.outcome = apps::Outcome::Crashed;
-      er.time_fraction = ca.kernel_fetches == 0
-                             ? 0.0
-                             : double(fault.time) / double(ca.kernel_fetches);
-      er.wall_seconds = seconds_since(t0);
-      return er;
-    }
-  }
+/// "The guest recovered": it terminated on its own, and no thread bailed out
+/// through its error-exit path.
+bool guest_recovered(const sim::Simulation& s, const sim::RunResult& rr) {
+  if (rr.reason != sim::ExitReason::AllThreadsExited) return false;
+  const os::Scheduler& sched = s.scheduler();
+  for (std::uint64_t tid = 0; tid < sched.thread_count(); ++tid)
+    if (sched.thread(tid).exit_code != 0) return false;
+  return true;
 }
 
 }  // namespace
@@ -158,10 +77,6 @@ CalibratedApp calibrate(apps::App app, const CampaignConfig& cfg) {
                              "' diverges from its golden model");
   if (ckpt.empty())
     throw std::runtime_error("app '" + app.name + "' never called fi_read_init_all()");
-
-  app.golden_insts = rr.committed;
-  app.golden_kernel_insts = s.fault_manager().last_deactivated_fetched();
-  app.golden_ticks = rr.ticks;
 
   ca.golden_ticks = rr.ticks;
   ca.golden_committed = rr.committed;
@@ -343,37 +258,20 @@ std::vector<fi::Fault> seeded_fault_set(std::uint64_t campaign_seed, std::size_t
   return faults;
 }
 
+std::uint64_t watchdog_ticks(const CalibratedApp& ca, const CampaignConfig& cfg) {
+  return cfg.watchdog_mult * ca.golden_ticks + 1'000'000;
+}
+
 ExperimentResult run_experiment(const CalibratedApp& ca, const fi::Fault& fault,
                                 const CampaignConfig& cfg,
                                 const std::vector<fi::SyscallFaultPlan>* syscall_plans) {
-  const auto t0 = Clock::now();
-  sim::Simulation s(make_sim_config(cfg), ca.app.program);
-  s.spawn_main_thread();
-  const std::uint64_t start_ticks =
-      cfg.use_checkpoint ? ca.ticks_to_checkpoint : 0;
-  if (cfg.use_checkpoint) ca.checkpoint.restore_into(s);
-
-  ExperimentResult er =
-      execute_faulted_run(s, ca, fault, cfg, start_ticks,
-                          syscall_plans ? *syscall_plans : cfg.syscall_plans);
-  if (cfg.use_checkpoint) {
-    er.ckpt_version = std::uint8_t(chkpt::CheckpointFormat::V2);
-    er.restore_pages = s.memsys().phys().page_count();
-    er.restore_bytes = ca.checkpoint.size_bytes();
-  }
-  er.wall_seconds = seconds_since(t0);
-  return er;
+  return ExperimentWorker(ca, nullptr, cfg).run(fault, syscall_plans);
 }
 
 ExperimentResult run_experiment_with_retry(const CalibratedApp& ca, const fi::Fault& fault,
                                            const CampaignConfig& cfg,
                                            const std::vector<fi::SyscallFaultPlan>* syscall_plans) {
-  return retry_policy(
-      ca, fault, cfg,
-      [&](const CampaignConfig& attempt_cfg) {
-        return run_experiment(ca, fault, attempt_cfg, syscall_plans);
-      },
-      [] {});
+  return ExperimentWorker(ca, nullptr, cfg).run_with_retry(fault, syscall_plans);
 }
 
 std::optional<chkpt::CheckpointImage> campaign_baseline(const CalibratedApp& ca,
@@ -393,38 +291,81 @@ ExperimentWorker::ExperimentWorker(const CalibratedApp& ca,
 
 ExperimentWorker::~ExperimentWorker() = default;
 
-ExperimentResult ExperimentWorker::run_attempt(const fi::Fault& fault,
-                                               const CampaignConfig& attempt_cfg,
-                                               const std::vector<fi::SyscallFaultPlan>* syscall_plans) {
-  if (!image_) return run_experiment(ca_, fault, attempt_cfg, syscall_plans);
-  std::uint64_t pages = 0;
-  if (!sim_) {
-    sim_ = std::make_unique<sim::Simulation>(make_sim_config(cfg_), ca_.app.program);
+std::uint64_t ExperimentWorker::restore(bool switch_to_atomic, ExperimentResult& er) {
+  const bool reuse =
+      image_ && sim_ && sim_->config().switch_to_atomic_after_fault == switch_to_atomic;
+  if (!reuse) {
+    sim::SimConfig scfg = make_sim_config(cfg_);
+    scfg.switch_to_atomic_after_fault = switch_to_atomic;
+    sim_ = std::make_unique<sim::Simulation>(scfg, ca_.app.program);
     sim_->spawn_main_thread();
-    pages = image_->restore_into(*sim_);
-  } else {
-    pages = image_->restore_dirty_into(*sim_);
   }
+  if (image_) {
+    const std::uint64_t pages =
+        reuse ? image_->restore_dirty_into(*sim_) : image_->restore_into(*sim_);
+    er.restore_pages = pages;
+    er.restore_bytes = pages * mem::PhysMem::kPageBytes;
+  } else if (cfg_.use_checkpoint) {
+    ca_.checkpoint.restore_into(*sim_);
+    er.restore_pages = sim_->memsys().phys().page_count();
+    er.restore_bytes = ca_.checkpoint.size_bytes();
+  } else {
+    return 0;  // from reset
+  }
+  er.ckpt_version = std::uint8_t(chkpt::CheckpointFormat::V2);
+  return ca_.ticks_to_checkpoint;
+}
 
-  ExperimentResult er =
-      execute_faulted_run(*sim_, ca_, fault, attempt_cfg, ca_.ticks_to_checkpoint,
-                          syscall_plans ? *syscall_plans : cfg_.syscall_plans);
-  er.ckpt_version = std::uint8_t(image_->stats().format);
-  er.restore_pages = pages;
-  er.restore_bytes = pages * mem::PhysMem::kPageBytes;
+ExperimentResult ExperimentWorker::attempt(
+    std::span<const fi::Fault> faults, double deadline_seconds,
+    const std::vector<fi::SyscallFaultPlan>* syscall_plans) {
+  ExperimentResult er;
+  const std::uint64_t start_ticks =
+      restore(cfg_.switch_to_atomic_after_fault && faults.size() == 1, er);
+  sim::Simulation& s = *sim_;
+  if (!faults.empty()) {
+    er.fault = faults.front();
+    er.time_fraction = time_fraction(ca_, er.fault);
+  }
+  s.fault_manager().load_faults({faults.begin(), faults.end()});
+  s.syscall_injector().clear();
+  const std::vector<fi::SyscallFaultPlan>& plans =
+      syscall_plans ? *syscall_plans : cfg_.syscall_plans;
+  for (const fi::SyscallFaultPlan& p : plans) s.syscall_injector().add_plan(p);
+
+  const sim::RunResult rr = s.run(watchdog_ticks(ca_, cfg_), deadline_seconds);
+
+  er.exit_reason = rr.reason;
+  er.trap = rr.trap.kind;
+  er.crash_pc = rr.crash_pc;
+  er.fault_applied = s.fault_manager().any_applied();
+  // A checkpoint restore resumes the tick counter at ticks_to_checkpoint, so
+  // rr.ticks >= start_ticks is an invariant; guard it anyway so a violation
+  // surfaces as a zero instead of an underflowed ~1.8e19 that would wreck
+  // every mean-duration statistic downstream.
+  assert(rr.ticks >= start_ticks && "experiment ended before its checkpoint tick");
+  er.sim_ticks = rr.ticks >= start_ticks ? rr.ticks - start_ticks : 0;
+  er.classification = classify(ca_.app, rr, s.fault_manager(), s.output(0));
+
+  if (!plans.empty()) {
+    er.syscall_plans = plans;
+    er.syscalls_injected = s.syscalls().injected_calls();
+    er.syscall_class =
+        classify_syscalls(s.syscalls().full_trace(), !guest_recovered(s, rr));
+  }
   return er;
 }
 
-ExperimentResult ExperimentWorker::run(const fi::Fault& fault,
+ExperimentResult ExperimentWorker::run(std::span<const fi::Fault> faults,
                                        const std::vector<fi::SyscallFaultPlan>* syscall_plans) {
   const auto t0 = Clock::now();
   try {
-    ExperimentResult er = run_attempt(fault, cfg_, syscall_plans);
+    ExperimentResult er = attempt(faults, cfg_.deadline_seconds, syscall_plans);
     er.wall_seconds = seconds_since(t0);
     return er;
   } catch (...) {
-    // The cached Simulation may be mid-deserialize or otherwise torn;
-    // discard it so the next run starts from a pristine full restore.
+    // The Simulation may be mid-deserialize or otherwise torn; discard it
+    // so the next run starts from a pristine full restore.
     sim_.reset();
     throw;
   }
@@ -432,12 +373,41 @@ ExperimentResult ExperimentWorker::run(const fi::Fault& fault,
 
 ExperimentResult ExperimentWorker::run_with_retry(const fi::Fault& fault,
                                                   const std::vector<fi::SyscallFaultPlan>* syscall_plans) {
-  return retry_policy(
-      ca_, fault, cfg_,
-      [&](const CampaignConfig& attempt_cfg) {
-        return run_attempt(fault, attempt_cfg, syscall_plans);
-      },
-      [&] { sim_.reset(); });
+  const auto t0 = Clock::now();
+  double deadline = cfg_.deadline_seconds;
+  for (unsigned attempt_no = 0;; ++attempt_no) {
+    const bool last = attempt_no >= cfg_.max_retries;
+    try {
+      ExperimentResult er = attempt(std::span(&fault, 1), deadline, syscall_plans);
+      // A deadline exit may be host contention rather than an effect of the
+      // injected fault: retry with a longer leash.
+      if (er.exit_reason == sim::ExitReason::Deadline && !last) {
+        deadline *= kRetryBackoff;
+        continue;
+      }
+      er.retries = attempt_no;
+      er.wall_seconds = seconds_since(t0);
+      return er;
+    } catch (const std::exception& e) {
+      sim_.reset();
+      if (!last) {
+        deadline *= kRetryBackoff;  // no deadline (0) stays none
+        continue;
+      }
+      // Simulator-internal failure survived every retry: report it as a
+      // crash carrying the message, so the campaign completes and the
+      // record points at the substrate rather than the injected fault.
+      ExperimentResult er;
+      er.fault = fault;
+      er.retries = attempt_no;
+      er.sim_error = e.what();
+      er.exit_reason = sim::ExitReason::Crashed;
+      er.classification.outcome = apps::Outcome::Crashed;
+      er.time_fraction = time_fraction(ca_, fault);
+      er.wall_seconds = seconds_since(t0);
+      return er;
+    }
+  }
 }
 
 void CampaignReport::add(const ExperimentResult& er) noexcept {

@@ -1,11 +1,13 @@
 // Campaign runner: calibration, random fault generation, experiment
-// execution (optionally fast-forwarded from a checkpoint), and parallel
-// campaign execution — the machinery behind the paper's Sec. IV/V results.
+// execution (ExperimentWorker, optionally fast-forwarded from a checkpoint),
+// and parallel campaign execution — the machinery behind the paper's
+// Sec. IV/V results.
 #pragma once
 
 #include <array>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,8 @@ class CampaignObserver;
 
 struct CampaignConfig {
   sim::CpuKind cpu = sim::CpuKind::Pipelined;
+  // Both stay true on NoW workers and the daemon: the Welcome (protocol v10)
+  // does not carry them, and wire::Welcome::from refuses false.
   bool switch_to_atomic_after_fault = true;  // Sec. IV-B-1 speed trick
   bool use_checkpoint = true;                // Sec. III-D fast-forwarding
   // Engine tiers (sim::SimConfig): in-process only, never shipped to a
@@ -153,6 +157,7 @@ struct ExperimentResult {
   bool fault_applied = false;
   double time_fraction = 0.0;   // fault time / kernel length (Fig. 6 x-axis)
   std::uint64_t sim_ticks = 0;  // simulated ticks consumed by the experiment
+  std::uint64_t crash_pc = 0;   // pc of the fatal trap (exit_reason Crashed)
   double wall_seconds = 0.0;    // host wall time (all attempts)
   unsigned retries = 0;         // attempts beyond the first (see max_retries)
   bool fastmode = true;         // unused: nothing in src/ sets, reads or
@@ -171,17 +176,23 @@ struct ExperimentResult {
   std::uint64_t syscalls_injected = 0;  // calls that saw an injection fire
 };
 
+/// The tick watchdog of one experiment: cfg.watchdog_mult golden runs plus
+/// a fixed slack of 1M ticks, so a fault that stalls the guest ends as a
+/// Timeout instead of running forever.
+[[nodiscard]] std::uint64_t watchdog_ticks(const CalibratedApp& ca,
+                                           const CampaignConfig& cfg);
+
 /// Run one fault-injection experiment (single attempt, no retry; simulator-
-/// internal errors propagate as exceptions). `syscall_plans` overrides
-/// cfg.syscall_plans for this run when non-null (campaign per-experiment
-/// plan synthesis); null means "use cfg.syscall_plans".
+/// internal errors propagate as exceptions) on a transient ExperimentWorker.
+/// `syscall_plans` overrides cfg.syscall_plans for this run when non-null
+/// (campaign per-experiment plan synthesis); null means "use
+/// cfg.syscall_plans".
 ExperimentResult run_experiment(const CalibratedApp& ca, const fi::Fault& fault,
                                 const CampaignConfig& cfg,
                                 const std::vector<fi::SyscallFaultPlan>* syscall_plans = nullptr);
 
-/// Run one experiment with the campaign robustness policy: up to
-/// cfg.max_retries re-runs on simulator-internal exceptions or wall-clock
-/// deadline exits, doubling the deadline each time.
+/// Run one experiment with the campaign robustness policy
+/// (ExperimentWorker::run_with_retry) on a transient ExperimentWorker.
 /// Never throws on simulator errors: after the last retry the result carries
 /// the message in sim_error and classifies as Crashed.
 ExperimentResult run_experiment_with_retry(const CalibratedApp& ca, const fi::Fault& fault,
@@ -197,16 +208,24 @@ ExperimentResult run_experiment_with_retry(const CalibratedApp& ca, const fi::Fa
 std::optional<chkpt::CheckpointImage> campaign_baseline(const CalibratedApp& ca,
                                                         const CampaignConfig& cfg);
 
-/// A campaign worker's persistent experiment context (one per thread/slot).
+/// The one code path that runs a faulted experiment: it positions a
+/// Simulation at the experiment's start, arms the faults and syscall plans,
+/// runs under the watchdog and classifies. Campaign workers keep one per
+/// thread/slot; run_experiment, the single run of gemfi_cli and the benches
+/// use a transient one.
 ///
-/// With a baseline image the worker keeps one Simulation alive across
-/// experiments. The first run restores the full baseline image; every later
-/// run copies back only the pages the previous experiment dirtied (PhysMem's
-/// dirty bitmap) plus the small machine-state stream — equivalent
-/// bit-for-bit to a full restore, at a fraction of the cost. On a
-/// simulator-internal error the cached Simulation is discarded so the retry
-/// starts from a pristine full restore. With a null image every run is the
-/// isolated run_experiment path.
+/// Positioning is its own step (restore()). With a baseline image the
+/// worker keeps one Simulation alive across experiments: the first run
+/// restores the full baseline image, every later run copies back only the
+/// pages the previous experiment dirtied (PhysMem's dirty bitmap) plus the
+/// small machine-state stream — equivalent bit-for-bit to a full restore, at
+/// a fraction of the cost. With a null image every run builds a fresh
+/// Simulation, restored from the checkpoint blob (cfg.use_checkpoint) or
+/// started from reset. On a simulator-internal error the Simulation is
+/// discarded so the retry starts from a pristine full restore.
+///
+/// Sec. IV-B-1's switch to the atomic model after the fault applies only to
+/// single-fault runs: with several faults the detailed model runs to the end.
 class ExperimentWorker {
  public:
   ExperimentWorker(const CalibratedApp& ca, const chkpt::CheckpointImage* image,
@@ -217,20 +236,37 @@ class ExperimentWorker {
   ExperimentWorker& operator=(const ExperimentWorker&) = delete;
 
   /// Single attempt; simulator-internal errors propagate as exceptions
-  /// (the cached Simulation is invalidated first).
-  ExperimentResult run(const fi::Fault& fault,
+  /// (the Simulation is discarded first). A run with several faults reports
+  /// the first one in ExperimentResult::fault and time_fraction.
+  ExperimentResult run(std::span<const fi::Fault> faults,
                        const std::vector<fi::SyscallFaultPlan>* syscall_plans = nullptr);
+  ExperimentResult run(const fi::Fault& fault,
+                       const std::vector<fi::SyscallFaultPlan>* syscall_plans = nullptr) {
+    return run(std::span(&fault, 1), syscall_plans);
+  }
 
-  /// Retry policy of run_experiment_with_retry on top of run().
+  /// The campaign robustness policy on top of run(): up to cfg.max_retries
+  /// re-runs on simulator-internal exceptions or wall-clock deadline exits,
+  /// doubling the deadline each time. Tick-watchdog exits are deterministic
+  /// and never retried. After the last retry a simulator error becomes a
+  /// Crashed result carrying the message in sim_error.
   ExperimentResult run_with_retry(const fi::Fault& fault,
                                   const std::vector<fi::SyscallFaultPlan>* syscall_plans = nullptr);
 
+  /// The Simulation of the last run, for callers that read more of it than
+  /// the result carries (guest output, injection log, fault states).
+  /// Requires a run that did not throw.
+  [[nodiscard]] const sim::Simulation& simulation() const { return *sim_; }
+
  private:
-  ExperimentResult run_attempt(const fi::Fault& fault, const CampaignConfig& attempt_cfg,
-                               const std::vector<fi::SyscallFaultPlan>* syscall_plans);
+  /// Position the Simulation at the experiment's start; returns the start
+  /// tick and fills the result's restore telemetry.
+  std::uint64_t restore(bool switch_to_atomic, ExperimentResult& er);
+  ExperimentResult attempt(std::span<const fi::Fault> faults, double deadline_seconds,
+                           const std::vector<fi::SyscallFaultPlan>* syscall_plans);
 
   const CalibratedApp& ca_;
-  const chkpt::CheckpointImage* image_;   // null: per-experiment restore
+  const chkpt::CheckpointImage* image_;   // null: fresh Simulation per run
   const CampaignConfig& cfg_;
   std::unique_ptr<sim::Simulation> sim_;  // null until the first run
 };

@@ -22,6 +22,10 @@ namespace {
 using net::mono_seconds;
 using wire::frame_for;
 
+/// Longest a reply or result stream may block on one client before the
+/// client is dropped as defunct.
+constexpr double kClientSendTimeoutS = 10.0;
+
 /// Reverse of experiment_record_to_json's outcome field (counts recovery).
 std::optional<apps::Outcome> outcome_from_name(const std::string& name) {
   for (unsigned i = 0; i < apps::kNumOutcomes; ++i)
@@ -239,7 +243,7 @@ struct CampaignService::Impl final : Fleet {
     for (const unsigned peer_id : c.subscribers) {
       Peer* p = find_peer(peer_id);
       if (p != nullptr && !p->defunct)
-        send_or_defunct(*p, end_frame, scfg.client_send_timeout_s);
+        send_or_defunct(*p, end_frame, kClientSendTimeoutS);
     }
     c.subscribers.clear();
     // Release the bulk memory; results still arriving for it are dropped.
@@ -295,7 +299,7 @@ struct CampaignService::Impl final : Fleet {
     for (const unsigned peer_id : c.subscribers) {
       Peer* p = find_peer(peer_id);
       if (p != nullptr && !p->defunct)
-        send_or_defunct(*p, rl_frame, scfg.client_send_timeout_s);
+        send_or_defunct(*p, rl_frame, kClientSendTimeoutS);
     }
   }
 
@@ -383,7 +387,7 @@ struct CampaignService::Impl final : Fleet {
       queue_calibrations();
     }
     send_or_defunct(p, frame_for(wire::MsgType::SubmitReply, encode_submit_reply(reply)),
-                    scfg.client_send_timeout_s);
+                    kClientSendTimeoutS);
   }
 
   void handle_status(Peer& p, std::span<const std::uint8_t> payload) {
@@ -397,7 +401,7 @@ struct CampaignService::Impl final : Fleet {
     }
     send_or_defunct(p,
                     frame_for(wire::MsgType::StatusReply, encode_status_reply(statuses)),
-                    scfg.client_send_timeout_s);
+                    kClientSendTimeoutS);
   }
 
   void handle_cancel(Peer& p, std::span<const std::uint8_t> payload) {
@@ -414,7 +418,7 @@ struct CampaignService::Impl final : Fleet {
       reply.ok = true;
     }
     send_or_defunct(p, frame_for(wire::MsgType::CancelReply, encode_cancel_reply(reply)),
-                    scfg.client_send_timeout_s);
+                    kClientSendTimeoutS);
   }
 
   void handle_stream(Peer& p, std::span<const std::uint8_t> payload) {
@@ -426,7 +430,7 @@ struct CampaignService::Impl final : Fleet {
       end.state = CampaignState::Failed;
       end.error = "unknown campaign " + std::to_string(req.id);
       send_or_defunct(p, frame_for(wire::MsgType::StreamEnd, encode_stream_end(end)),
-                      scfg.client_send_timeout_s);
+                      kClientSendTimeoutS);
       return;
     }
     Campaign& c = it->second;
@@ -438,14 +442,14 @@ struct CampaignService::Impl final : Fleet {
       rl.lines.push_back(std::move(line));
       if (rl.lines.size() >= 256) {
         send_or_defunct(p, frame_for(wire::MsgType::ResultLines, encode_result_lines(rl)),
-                        scfg.client_send_timeout_s);
+                        kClientSendTimeoutS);
         rl.lines.clear();
         if (p.defunct) return;
       }
     }
     if (!rl.lines.empty())
       send_or_defunct(p, frame_for(wire::MsgType::ResultLines, encode_result_lines(rl)),
-                      scfg.client_send_timeout_s);
+                      kClientSendTimeoutS);
     if (p.defunct) return;
     if (is_terminal(c.state)) {
       StreamEnd end;
@@ -453,7 +457,7 @@ struct CampaignService::Impl final : Fleet {
       end.state = c.state;
       end.error = c.error;
       send_or_defunct(p, frame_for(wire::MsgType::StreamEnd, encode_stream_end(end)),
-                      scfg.client_send_timeout_s);
+                      kClientSendTimeoutS);
     } else {
       c.subscribers.push_back(p.id);
     }

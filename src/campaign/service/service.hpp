@@ -37,7 +37,6 @@ namespace gemfi::campaign::service {
 /// journaled and resume on the next start.
 struct ServiceConfig : FleetConfig {
   std::string journal_dir;    // required: crash-recovery journal root
-  double client_send_timeout_s = 10.0;
 
   /// How often the fair-share rebalancer may move a worker between
   /// campaigns (each move costs the worker a reconnect).

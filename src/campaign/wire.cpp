@@ -1,6 +1,7 @@
 #include "campaign/wire.hpp"
 
 #include <limits>
+#include <stdexcept>
 
 #include "net/frame.hpp"
 
@@ -108,22 +109,26 @@ Hello decode_hello(std::span<const std::uint8_t> payload) {
 
 Welcome Welcome::from(const CalibratedApp& ca, const apps::AppScale& scale,
                       const CampaignConfig& cfg) {
+  // A worker always restores from the shipped checkpoint and switches to the
+  // atomic model after a single fault; the wire carries no way to say
+  // otherwise.
+  if (!cfg.use_checkpoint)
+    throw std::invalid_argument(
+        "Welcome: use_checkpoint=false cannot be shipped to a worker");
+  if (!cfg.switch_to_atomic_after_fault)
+    throw std::invalid_argument(
+        "Welcome: switch_to_atomic_after_fault=false cannot be shipped to a worker");
   Welcome w;
   w.app_name = ca.app.name;
   w.paper_scale = scale.paper;
   w.app_scale_seed = scale.seed;
   w.golden_output = ca.app.golden_output;
-  w.golden_insts = ca.app.golden_insts;
-  w.golden_kernel_insts = ca.app.golden_kernel_insts;
-  w.app_golden_ticks = ca.app.golden_ticks;
   w.golden_ticks = ca.golden_ticks;
   w.golden_committed = ca.golden_committed;
   w.kernel_fetches = ca.kernel_fetches;
   w.ticks_to_checkpoint = ca.ticks_to_checkpoint;
   w.checkpoint = ca.checkpoint.bytes();
   w.cpu = std::uint8_t(cfg.cpu);
-  w.switch_to_atomic_after_fault = cfg.switch_to_atomic_after_fault;
-  w.use_checkpoint = cfg.use_checkpoint;
   w.watchdog_mult = cfg.watchdog_mult;
   w.campaign_seed = cfg.campaign_seed;
   w.deadline_seconds = cfg.deadline_seconds;
@@ -142,9 +147,6 @@ CalibratedApp Welcome::rebuild_app() const {
   CalibratedApp ca;
   ca.app = apps::build_app(app_name, scale);
   ca.app.golden_output = golden_output;
-  ca.app.golden_insts = golden_insts;
-  ca.app.golden_kernel_insts = golden_kernel_insts;
-  ca.app.golden_ticks = app_golden_ticks;
   ca.checkpoint = chkpt::Checkpoint::from_bytes(checkpoint);
   ca.golden_ticks = golden_ticks;
   ca.golden_committed = golden_committed;
@@ -156,8 +158,6 @@ CalibratedApp Welcome::rebuild_app() const {
 CampaignConfig Welcome::rebuild_config() const {
   CampaignConfig cfg;
   cfg.cpu = static_cast<sim::CpuKind>(cpu);
-  cfg.switch_to_atomic_after_fault = switch_to_atomic_after_fault;
-  cfg.use_checkpoint = use_checkpoint;
   cfg.watchdog_mult = watchdog_mult;
   cfg.campaign_seed = campaign_seed;
   cfg.deadline_seconds = deadline_seconds;
@@ -176,17 +176,12 @@ std::vector<std::uint8_t> encode_welcome(const Welcome& w) {
   b.put_bool(w.paper_scale);
   b.put_u64(w.app_scale_seed);
   b.put_string(w.golden_output);
-  b.put_u64(w.golden_insts);
-  b.put_u64(w.golden_kernel_insts);
-  b.put_u64(w.app_golden_ticks);
   b.put_u64(w.golden_ticks);
   b.put_u64(w.golden_committed);
   b.put_u64(w.kernel_fetches);
   b.put_u64(w.ticks_to_checkpoint);
   b.put_blob(w.checkpoint);
   b.put_u8(w.cpu);
-  b.put_bool(w.switch_to_atomic_after_fault);
-  b.put_bool(w.use_checkpoint);
   b.put_u64(w.watchdog_mult);
   b.put_u64(w.campaign_seed);
   b.put_f64(w.deadline_seconds);
@@ -204,17 +199,12 @@ Welcome decode_welcome(std::span<const std::uint8_t> payload) {
   w.paper_scale = r.get_bool();
   w.app_scale_seed = r.get_u64();
   w.golden_output = r.get_string();
-  w.golden_insts = r.get_u64();
-  w.golden_kernel_insts = r.get_u64();
-  w.app_golden_ticks = r.get_u64();
   w.golden_ticks = r.get_u64();
   w.golden_committed = r.get_u64();
   w.kernel_fetches = r.get_u64();
   w.ticks_to_checkpoint = r.get_u64();
   w.checkpoint = r.get_blob();
   w.cpu = checked_enum(r, unsigned(sim::CpuKind::Pipelined) + 1, "cpu kind");
-  w.switch_to_atomic_after_fault = r.get_bool();
-  w.use_checkpoint = r.get_bool();
   w.watchdog_mult = r.get_u64();
   w.campaign_seed = r.get_u64();
   w.deadline_seconds = r.get_f64();

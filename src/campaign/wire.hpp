@@ -24,7 +24,7 @@ namespace gemfi::campaign::wire {
 
 /// Every peer is built from this tree, so a Hello with any other version is
 /// rejected.
-inline constexpr std::uint32_t kProtocolVersion = 9;
+inline constexpr std::uint32_t kProtocolVersion = 10;
 
 enum class MsgType : std::uint8_t {
   // --- worker plane ---
@@ -70,9 +70,6 @@ struct Welcome {
   bool paper_scale = false;
   std::uint64_t app_scale_seed = 0;
   std::string golden_output;
-  std::uint64_t golden_insts = 0;
-  std::uint64_t golden_kernel_insts = 0;
-  std::uint64_t app_golden_ticks = 0;
   std::uint64_t golden_ticks = 0;
   std::uint64_t golden_committed = 0;
   std::uint64_t kernel_fetches = 0;
@@ -81,10 +78,10 @@ struct Welcome {
 
   // The CampaignConfig subset that affects experiment execution. Host-side
   // policy (workers, observer) and the engine tier, which leaves records
-  // byte-identical, stay local to each end.
+  // byte-identical, stay local to each end. use_checkpoint and
+  // switch_to_atomic_after_fault are always true on a worker (from() throws
+  // on false), so they do not travel.
   std::uint8_t cpu = 0;
-  bool switch_to_atomic_after_fault = true;
-  bool use_checkpoint = true;
   std::uint64_t watchdog_mult = 8;
   std::uint64_t campaign_seed = 0;
   double deadline_seconds = 0.0;
@@ -97,7 +94,9 @@ struct Welcome {
   bool random_syscall_faults = false;
 
   /// Split a master-side (CalibratedApp, AppScale, CampaignConfig) into the
-  /// wire form / reassemble the worker-side equivalents.
+  /// wire form / reassemble the worker-side equivalents. from() throws
+  /// std::invalid_argument, naming the field, if cfg turns off
+  /// use_checkpoint or switch_to_atomic_after_fault.
   static Welcome from(const CalibratedApp& ca, const apps::AppScale& scale,
                       const CampaignConfig& cfg);
   [[nodiscard]] CalibratedApp rebuild_app() const;

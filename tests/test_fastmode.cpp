@@ -444,7 +444,7 @@ double campaign_trace_share(const char* app_name, std::size_t experiments) {
     else image.restore_dirty_into(s);
     s.fault_manager().load_faults(
         {campaign::seeded_fault_any(kSeed, i, ca.kernel_fetches)});
-    s.run(ccfg.watchdog_mult * ca.golden_ticks + 1'000'000);
+    s.run(campaign::watchdog_ticks(ca, ccfg));
     const sim::TierInsts& t = s.tier_insts();
     sum.trace += t.trace;
     sum.batch += t.batch;
@@ -679,7 +679,7 @@ TEST(FastmodeCheckpoint, FullAndDirtyRestoreOverWarmTracesBitIdentical) {
   ccfg.cpu = sim::CpuKind::AtomicSimple;
   const campaign::CalibratedApp ca = campaign::calibrate(apps::build_app("pi"), ccfg);
   const chkpt::CheckpointImage image = chkpt::CheckpointImage::parse(ca.checkpoint);
-  const std::uint64_t watchdog = 8 * ca.golden_ticks + 1'000'000;
+  const std::uint64_t watchdog = campaign::watchdog_ticks(ca, ccfg);
 
   struct Cycle {
     std::vector<std::uint64_t> ticks;

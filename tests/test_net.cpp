@@ -276,6 +276,29 @@ TEST(Wire, WelcomeRebuildsCalibratedApp) {
     EXPECT_EQ(there.syscall_plans[i].to_line(), here.syscall_plans[i].to_line());
 }
 
+TEST(Wire, WelcomeRefusesSettingsAWorkerCannotHonour) {
+  const campaign::CalibratedApp ca;
+  campaign::CampaignConfig cfg;
+  cfg.use_checkpoint = false;
+  try {
+    (void)wire::Welcome::from(ca, {}, cfg);
+    FAIL() << "use_checkpoint=false was shipped";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("use_checkpoint"), std::string::npos)
+        << e.what();
+  }
+  cfg.use_checkpoint = true;
+  cfg.switch_to_atomic_after_fault = false;
+  try {
+    (void)wire::Welcome::from(ca, {}, cfg);
+    FAIL() << "switch_to_atomic_after_fault=false was shipped";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("switch_to_atomic_after_fault"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // --- sockets ---
 
 TEST(Socket, LoopbackSendRecv) {
