@@ -1,7 +1,8 @@
 // Checkpoint fast-path benchmark: per-experiment restore cost of the
 // shared-baseline dirty-page restore vs a fresh Simulation plus a full
-// checkpoint restore (parse, decode and copy the whole image) — the path a
-// campaign falls back to when its baseline cannot be parsed.
+// parse and restore of the checkpoint (CRC the blob, copy its pages into a
+// flat image, copy the whole image in) — what every experiment would pay
+// without a baseline parsed once and kept across experiments.
 //
 // Two sections:
 //   1. A synthetic sweep over checkpoint position (init iterations before
@@ -121,13 +122,13 @@ RestoreCompare measure_restore(const campaign::CalibratedApp& ca,
 
   std::array<std::size_t, apps::kNumOutcomes> full_counts{}, dirty_counts{};
 
-  // Full path: fresh Simulation + full checkpoint restore per experiment.
+  // Full path: fresh Simulation + full parse and restore per experiment.
   double full_total = 0;
   for (const fi::Fault& f : faults) {
     const auto t0 = Clock::now();
     sim::Simulation s(scfg, ca.app.program);
     s.spawn_main_thread();
-    ca.checkpoint.restore_into(s);
+    chkpt::CheckpointImage::parse(ca.checkpoint).restore_into(s);
     full_total += ms_since(t0);
     s.fault_manager().load_faults({f});
     const sim::RunResult rr = s.run(watchdog);

@@ -191,7 +191,7 @@ void BM_CheckpointRestore(benchmark::State& state) {
   const auto ckpt = chkpt::Checkpoint::capture(s);
   std::size_t bytes = 0;
   for (auto _ : state) {
-    ckpt.restore_into(s);
+    chkpt::CheckpointImage::parse(ckpt).restore_into(s);
     bytes += ckpt.size_bytes();
   }
   state.SetBytesProcessed(std::int64_t(bytes));

@@ -90,6 +90,7 @@
 #include "campaign/observer.hpp"
 #include "campaign/runner.hpp"
 #include "flag_parse.hpp"
+#include "mem/physmem.hpp"
 
 using namespace gemfi;
 
@@ -425,13 +426,16 @@ int main(int argc, char** argv) {
   if (!ca.checkpoint.empty()) {
     const chkpt::CheckpointStats cs =
         chkpt::CheckpointImage::parse(ca.checkpoint).stats();
+    // Where the Welcome's bytes go: the stored pages, raw, and the
+    // machine-state section (cache timing state, CPU, scheduler and OS).
     std::fprintf(stderr,
-                 "checkpoint: %s, %llu/%llu pages stored (%llu RLE), "
-                 "%llu -> %llu bytes (%.1fx)\n",
+                 "checkpoint: %s, %llu/%llu pages stored (%llu page bytes, "
+                 "%llu machine-state bytes), %llu -> %llu bytes (%.1fx)\n",
                  chkpt::checkpoint_format_name(cs.format),
                  (unsigned long long)cs.pages_stored,
                  (unsigned long long)cs.pages_total,
-                 (unsigned long long)cs.pages_rle,
+                 (unsigned long long)(cs.pages_stored * mem::PhysMem::kPageBytes),
+                 (unsigned long long)(cs.raw_bytes - cs.mem_bytes),
                  (unsigned long long)cs.raw_bytes,
                  (unsigned long long)cs.encoded_bytes,
                  cs.encoded_bytes == 0

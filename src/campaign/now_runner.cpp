@@ -19,8 +19,8 @@ double now_makespan(std::vector<double> durations, unsigned workstations, unsign
     free_at.push(end);
     makespan = std::max(makespan, end);
   }
-  // The checkpoint blob is the on-the-wire image (sparse, RLE-compressed),
-  // so the copy is charged the encoded size a workstation pulls.
+  // The checkpoint blob is the on-the-wire image (zero pages skipped, the
+  // rest raw), so the copy is charged the encoded size a workstation pulls.
   return makespan + double(checkpoint_bytes) / (1024.0 * 1024.0) * copy_s_per_mib;
 }
 

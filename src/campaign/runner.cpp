@@ -306,7 +306,7 @@ std::uint64_t ExperimentWorker::restore(bool switch_to_atomic, ExperimentResult&
     er.restore_pages = pages;
     er.restore_bytes = pages * mem::PhysMem::kPageBytes;
   } else if (cfg_.use_checkpoint) {
-    ca_.checkpoint.restore_into(*sim_);
+    chkpt::CheckpointImage::parse(ca_.checkpoint).restore_into(*sim_);
     er.restore_pages = sim_->memsys().phys().page_count();
     er.restore_bytes = ca_.checkpoint.size_bytes();
   } else {

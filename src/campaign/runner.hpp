@@ -24,7 +24,7 @@ class CampaignObserver;
 
 struct CampaignConfig {
   sim::CpuKind cpu = sim::CpuKind::Pipelined;
-  // Both stay true on NoW workers and the daemon: the Welcome (protocol v10)
+  // Both stay true on NoW workers and the daemon: the Welcome (protocol v11)
   // does not carry them, and wire::Welcome::from refuses false.
   bool switch_to_atomic_after_fault = true;  // Sec. IV-B-1 speed trick
   bool use_checkpoint = true;                // Sec. III-D fast-forwarding
@@ -82,7 +82,7 @@ struct CalibratedApp {
   apps::App app;
   chkpt::Checkpoint checkpoint;          // taken at fi_read_init_all()
   std::uint64_t golden_ticks = 0;        // full run, campaign CPU model
-  std::uint64_t golden_committed = 0;
+  std::uint64_t golden_committed = 0;    // master only: not in the Welcome
   std::uint64_t kernel_fetches = 0;      // fetches inside the FI window
   std::uint64_t ticks_to_checkpoint = 0; // pre-checkpoint (init+boot) ticks
   double calib_wall_seconds = 0.0;       // host wall time of the golden run

@@ -124,7 +124,6 @@ Welcome Welcome::from(const CalibratedApp& ca, const apps::AppScale& scale,
   w.app_scale_seed = scale.seed;
   w.golden_output = ca.app.golden_output;
   w.golden_ticks = ca.golden_ticks;
-  w.golden_committed = ca.golden_committed;
   w.kernel_fetches = ca.kernel_fetches;
   w.ticks_to_checkpoint = ca.ticks_to_checkpoint;
   w.checkpoint = ca.checkpoint.bytes();
@@ -149,7 +148,6 @@ CalibratedApp Welcome::rebuild_app() const {
   ca.app.golden_output = golden_output;
   ca.checkpoint = chkpt::Checkpoint::from_bytes(checkpoint);
   ca.golden_ticks = golden_ticks;
-  ca.golden_committed = golden_committed;
   ca.kernel_fetches = kernel_fetches;
   ca.ticks_to_checkpoint = ticks_to_checkpoint;
   return ca;
@@ -177,7 +175,6 @@ std::vector<std::uint8_t> encode_welcome(const Welcome& w) {
   b.put_u64(w.app_scale_seed);
   b.put_string(w.golden_output);
   b.put_u64(w.golden_ticks);
-  b.put_u64(w.golden_committed);
   b.put_u64(w.kernel_fetches);
   b.put_u64(w.ticks_to_checkpoint);
   b.put_blob(w.checkpoint);
@@ -200,7 +197,6 @@ Welcome decode_welcome(std::span<const std::uint8_t> payload) {
   w.app_scale_seed = r.get_u64();
   w.golden_output = r.get_string();
   w.golden_ticks = r.get_u64();
-  w.golden_committed = r.get_u64();
   w.kernel_fetches = r.get_u64();
   w.ticks_to_checkpoint = r.get_u64();
   w.checkpoint = r.get_blob();

@@ -8,9 +8,10 @@
 //
 // The Welcome message is the "checkpoint copy" step of the paper's NoW
 // protocol (Sec. III-E step 3): it carries the calibrated app's identity and
-// golden-run costs plus the sparse-v2 checkpoint blob, so a worker process
-// reconstructs a CalibratedApp without re-running calibration — the whole
-// point of shipping the checkpoint once per workstation.
+// golden-run costs plus the sparse-v2 checkpoint blob (raw pages), so a
+// worker process reconstructs a CalibratedApp without re-running
+// calibration — the whole point of shipping the checkpoint once per
+// workstation.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +25,7 @@ namespace gemfi::campaign::wire {
 
 /// Every peer is built from this tree, so a Hello with any other version is
 /// rejected.
-inline constexpr std::uint32_t kProtocolVersion = 10;
+inline constexpr std::uint32_t kProtocolVersion = 11;
 
 enum class MsgType : std::uint8_t {
   // --- worker plane ---
@@ -66,12 +67,13 @@ struct Welcome {
   // Enough to rebuild the CalibratedApp: apps::build_app(app_name, scale)
   // regenerates the program and classification closures deterministically;
   // the golden-run numbers below are calibration outputs shipped verbatim.
+  // CalibratedApp::golden_committed does not travel: no worker reads it, so
+  // a rebuilt app holds 0.
   std::string app_name;
   bool paper_scale = false;
   std::uint64_t app_scale_seed = 0;
   std::string golden_output;
   std::uint64_t golden_ticks = 0;
-  std::uint64_t golden_committed = 0;
   std::uint64_t kernel_fetches = 0;
   std::uint64_t ticks_to_checkpoint = 0;
   std::vector<std::uint8_t> checkpoint;  // Checkpoint::bytes(), shipped once

@@ -1,10 +1,8 @@
 #include "chkpt/checkpoint.hpp"
 
+#include <algorithm>
 #include <bit>
-#include <cstdio>
 #include <cstring>
-#include <memory>
-#include <stdexcept>
 
 #include "mem/physmem.hpp"
 
@@ -17,17 +15,13 @@ constexpr std::uint32_t kMagic = 0x47464943;  // "GFIC"
 constexpr std::uint32_t kVersion = 2;
 
 // The CRC-guarded fixed prologue: magic, version, page size, flags (u32 each),
-// mem_bytes, mem_len (u64 each), header CRC. Any well-formed checkpoint file
-// is at least this long.
+// mem_bytes, mem_len (u64 each), header CRC. The flags word is written as 0
+// and ignored on read.
 constexpr std::size_t kPrologueBytes = 32;
-constexpr std::size_t kMinHeaderBytes = kPrologueBytes + 4;
 
-// Header flag bits. Every capture RLE-encodes the pages that shrink.
-constexpr std::uint32_t kFlagCompress = 1u << 0;
-
-// Per-page encodings.
+// The one per-page encoding byte: the page's bytes, stored verbatim. Parse
+// rejects any other value.
 constexpr std::uint8_t kPageRaw = 0;
-constexpr std::uint8_t kPageRle = 1;
 
 bool all_zero(std::span<const std::uint8_t> page) {
   std::size_t i = 0;
@@ -55,20 +49,11 @@ Checkpoint Checkpoint::capture(const sim::Simulation& s) {
   util::ByteWriter records;
   records.reserve(std::size_t(phys.size() / 16));  // guess: mostly-zero image
   std::uint64_t stored = 0;
-  std::uint64_t rle = 0;
   for (std::uint64_t i = 0, n = phys.page_count(); i < n; ++i) {
     const auto page = phys.page(i);
     if (all_zero(page)) continue;
     ++stored;
     records.put_u64(i);
-    const auto enc = util::rle_compress(page);
-    if (enc.size() < page.size()) {
-      ++rle;
-      records.put_u8(kPageRle);
-      records.put_u32(std::uint32_t(enc.size()));
-      records.put_bytes(enc);
-      continue;
-    }
     records.put_u8(kPageRaw);
     records.put_u32(std::uint32_t(page.size()));
     records.put_bytes(page);
@@ -87,7 +72,7 @@ Checkpoint Checkpoint::capture(const sim::Simulation& s) {
   out.put_u32(kMagic);
   out.put_u32(kVersion);
   out.put_u32(std::uint32_t(mem::PhysMem::kPageBytes));
-  out.put_u32(kFlagCompress);
+  out.put_u32(0);  // flags
   out.put_u64(phys.size());
   out.put_u64(mem_sec.size());
   // CRC over the fixed prologue: mem_bytes sizes the decoded image
@@ -103,52 +88,10 @@ Checkpoint Checkpoint::capture(const sim::Simulation& s) {
   return Checkpoint::from_bytes(out.take());
 }
 
-void Checkpoint::restore_into(sim::Simulation& s) const {
-  CheckpointImage::parse(*this).restore_into(s);
-}
-
 Checkpoint Checkpoint::from_bytes(std::vector<std::uint8_t> bytes) {
   Checkpoint c;
   c.blob_ = std::move(bytes);
   return c;
-}
-
-void Checkpoint::save_file(const std::string& path) const {
-  // Write to a sibling temp file and rename over the destination so a failed
-  // save (crash, full disk) never leaves a truncated checkpoint behind.
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (!f) throw std::runtime_error("cannot write checkpoint file: " + tmp);
-  const bool wrote =
-      blob_.empty() || std::fwrite(blob_.data(), 1, blob_.size(), f) == blob_.size();
-  const bool flushed = std::fflush(f) == 0 && std::ferror(f) == 0;
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote || !flushed || !closed) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("short write to checkpoint file: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("cannot move checkpoint into place: " + path);
-  }
-}
-
-Checkpoint Checkpoint::load_file(const std::string& path) {
-  std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(std::fopen(path.c_str(), "rb"),
-                                                    &std::fclose);
-  if (!f) throw std::runtime_error("cannot read checkpoint file: " + path);
-  if (std::fseek(f.get(), 0, SEEK_END) != 0)
-    throw std::runtime_error("cannot seek checkpoint file: " + path);
-  const long size = std::ftell(f.get());
-  if (size < 0) throw std::runtime_error("cannot size checkpoint file: " + path);
-  if (std::size_t(size) < kMinHeaderBytes)
-    throw util::DeserializeError("checkpoint file shorter than its header: " + path);
-  if (std::fseek(f.get(), 0, SEEK_SET) != 0)
-    throw std::runtime_error("cannot seek checkpoint file: " + path);
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size), 0);
-  if (std::fread(bytes.data(), 1, bytes.size(), f.get()) != bytes.size())
-    throw std::runtime_error("short read from checkpoint file: " + path);
-  return from_bytes(std::move(bytes));
 }
 
 // --- CheckpointImage -------------------------------------------------------
@@ -165,7 +108,7 @@ CheckpointImage CheckpointImage::parse(const Checkpoint& c) {
     throw util::DeserializeError("unsupported checkpoint version");
   if (r.get_u32() != mem::PhysMem::kPageBytes)
     throw util::DeserializeError("unsupported checkpoint page size");
-  (void)r.get_u32();  // flags: the page encodings are self-describing
+  (void)r.get_u32();  // flags: written as 0, carries nothing
   const std::uint64_t mem_bytes = r.get_u64();
   const std::uint64_t mem_len = r.get_u64();
   if (util::crc32(std::span(c.bytes()).first(kPrologueBytes)) != r.get_u32())
@@ -193,17 +136,9 @@ CheckpointImage CheckpointImage::parse(const Checkpoint& c) {
     const std::uint64_t base = pi << mem::PhysMem::kPageShift;
     const std::size_t page_len =
         std::size_t(std::min<std::uint64_t>(mem::PhysMem::kPageBytes, mem_bytes - base));
-    const std::span<std::uint8_t> out(img.mem_.data() + base, page_len);
-    if (enc == kPageRaw) {
-      if (plen != page_len)
-        throw util::DeserializeError("checkpoint raw page length mismatch");
-      std::memcpy(out.data(), payload.data(), page_len);
-    } else if (enc == kPageRle) {
-      util::rle_decompress(payload, out);
-      ++img.stats_.pages_rle;
-    } else {
-      throw util::DeserializeError("unknown checkpoint page encoding");
-    }
+    if (enc != kPageRaw) throw util::DeserializeError("unknown checkpoint page encoding");
+    if (plen != page_len) throw util::DeserializeError("checkpoint raw page length mismatch");
+    std::memcpy(img.mem_.data() + base, payload.data(), page_len);
   }
   if (!mr.at_end()) throw util::DeserializeError("trailing bytes in checkpoint memory section");
 

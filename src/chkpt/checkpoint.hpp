@@ -8,18 +8,20 @@
 // times, each restore re-reading a different fault-configuration file, to
 // fast-forward an entire campaign past the common prefix.
 //
-// One on-disk format (version word 2): page-granular memory. All-zero 4 KiB
-// pages are skipped, stored pages are RLE-encoded wherever that shrinks
-// them, and the header, memory and machine-state sections carry independent
-// CRC32s. A campaign parses the checkpoint once into an immutable baseline
-// (CheckpointImage) and restores each experiment by copying only the pages
-// the previous one dirtied. Any other version word is rejected.
+// One in-memory format (version word 2): page-granular memory. All-zero 4 KiB
+// pages are skipped, every other page is stored raw, and the header, memory
+// and machine-state sections carry independent CRC32s. The blob never
+// touches disk: the campaign keeps it in memory and the NoW Welcome ships
+// it. Restoring goes only through CheckpointImage: parse the blob once into
+// an immutable baseline, then restore each experiment either in full or by
+// copying only the pages the previous one dirtied. Any other version word,
+// and any page encoding but raw, is rejected.
 //
-// Restores validate everything and throw util::DeserializeError on damage.
+// Parsing and restoring validate everything and throw
+// util::DeserializeError on damage.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "sim/simulation.hpp"
@@ -40,32 +42,20 @@ struct CheckpointStats {
   std::uint64_t mem_bytes = 0;      // guest physical memory size
   std::uint64_t pages_total = 0;
   std::uint64_t pages_stored = 0;   // non-zero pages present in the image
-  std::uint64_t pages_rle = 0;      // of those, RLE-compressed
 };
 
 class Checkpoint {
  public:
   Checkpoint() = default;
 
-  /// Snapshot a (quiesced) simulation.
+  /// Snapshot a (quiesced) simulation. Restore it through CheckpointImage.
   static Checkpoint capture(const sim::Simulation& s);
-
-  /// Full restore into a simulation constructed with the same config +
-  /// program: CheckpointImage::parse(*this).restore_into(s). Resets
-  /// fault-injection state per the paper's fi_read_init_all contract.
-  void restore_into(sim::Simulation& s) const;
 
   [[nodiscard]] bool empty() const noexcept { return blob_.empty(); }
   [[nodiscard]] std::size_t size_bytes() const noexcept { return blob_.size(); }
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const noexcept { return blob_; }
 
-  /// File round-trip (the "network share" of the NoW campaign protocol).
-  /// save_file writes a temp file and renames it into place, so a crashed or
-  /// out-of-disk save never clobbers an existing good checkpoint.
-  void save_file(const std::string& path) const;
-  static Checkpoint load_file(const std::string& path);
-
-  /// Construct from raw bytes (validated lazily at restore time).
+  /// Construct from raw bytes (validated by CheckpointImage::parse).
   static Checkpoint from_bytes(std::vector<std::uint8_t> bytes);
 
  private:
@@ -87,7 +77,9 @@ class CheckpointImage {
   /// Decode a checkpoint; throws util::DeserializeError on damage.
   static CheckpointImage parse(const Checkpoint& c);
 
-  /// Full restore (first experiment of a worker, or a fresh simulation).
+  /// Full restore into a simulation constructed with the same config and
+  /// program (first experiment of a worker, or a fresh simulation). Resets
+  /// fault-injection state per the paper's fi_read_init_all contract.
   /// Returns the number of pages materialized (the whole image).
   std::uint64_t restore_into(sim::Simulation& s) const;
 

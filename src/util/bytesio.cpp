@@ -1,6 +1,5 @@
 #include "util/bytesio.hpp"
 
-#include <algorithm>
 #include <array>
 #include <cstring>
 
@@ -44,62 +43,6 @@ std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t seed) {
   }
   while (n-- > 0) c = tables[0][(c ^ *p++) & 0xffu] ^ (c >> 8);
   return c ^ 0xffffffffu;
-}
-
-std::vector<std::uint8_t> rle_compress(std::span<const std::uint8_t> data) {
-  constexpr std::size_t kMaxRepeat = 0x7f + 3;   // 130
-  constexpr std::size_t kMaxLiteral = 0x7f + 1;  // 128
-  std::vector<std::uint8_t> out;
-  out.reserve(data.size() / 4 + 8);
-  std::size_t i = 0;
-  std::size_t lit_start = 0;  // start of the pending literal run
-  const auto flush_literals = [&](std::size_t end) {
-    while (lit_start < end) {
-      const std::size_t n = std::min(end - lit_start, kMaxLiteral);
-      out.push_back(std::uint8_t(n - 1));
-      out.insert(out.end(), data.begin() + std::ptrdiff_t(lit_start),
-                 data.begin() + std::ptrdiff_t(lit_start + n));
-      lit_start += n;
-    }
-  };
-  while (i < data.size()) {
-    std::size_t run = 1;
-    while (i + run < data.size() && data[i + run] == data[i] && run < kMaxRepeat) ++run;
-    if (run >= 3) {
-      flush_literals(i);
-      out.push_back(std::uint8_t(0x80 + (run - 3)));
-      out.push_back(data[i]);
-      i += run;
-      lit_start = i;
-    } else {
-      i += run;
-    }
-  }
-  flush_literals(data.size());
-  return out;
-}
-
-void rle_decompress(std::span<const std::uint8_t> data, std::span<std::uint8_t> out) {
-  std::size_t in = 0;
-  std::size_t pos = 0;
-  while (in < data.size()) {
-    const std::uint8_t c = data[in++];
-    if (c < 0x80) {
-      const std::size_t n = std::size_t(c) + 1;
-      if (in + n > data.size()) throw DeserializeError("RLE literal run truncated");
-      if (pos + n > out.size()) throw DeserializeError("RLE stream overruns page");
-      std::memcpy(out.data() + pos, data.data() + in, n);
-      in += n;
-      pos += n;
-    } else {
-      const std::size_t n = std::size_t(c - 0x80) + 3;
-      if (in >= data.size()) throw DeserializeError("RLE repeat run truncated");
-      if (pos + n > out.size()) throw DeserializeError("RLE stream overruns page");
-      std::memset(out.data() + pos, data[in++], n);
-      pos += n;
-    }
-  }
-  if (pos != out.size()) throw DeserializeError("RLE stream shorter than page");
 }
 
 void ByteWriter::put_bytes(std::span<const std::uint8_t> data) {

@@ -1,10 +1,12 @@
-// Little-endian byte stream writer/reader used by the checkpoint subsystem.
+// Little-endian byte stream writer/reader shared by the checkpoint, the
+// machine-state serializers and the NoW wire and control messages.
 //
 // The paper checkpoints the whole simulator process via DMTCP; our substitute
 // serializes the simulation object graph through these primitives. The format
 // is deliberately simple (fixed-width little-endian scalars, length-prefixed
-// blobs) and guarded by a CRC32 so a truncated or corrupted checkpoint is
-// detected on restore instead of silently desynchronizing a campaign.
+// blobs, raw byte runs) with no compression; a CRC32 over each section lets a
+// truncated or corrupted checkpoint be detected when it is parsed instead of
+// silently desynchronizing a campaign.
 #pragma once
 
 #include <bit>
@@ -24,17 +26,6 @@ class DeserializeError : public std::runtime_error {
 };
 
 std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t seed = 0);
-
-/// PackBits-style byte RLE used for v2 checkpoint page payloads. A control
-/// byte c < 0x80 introduces a literal run of c+1 bytes; c >= 0x80 repeats
-/// the following byte (c - 0x80 + 3) times, so runs shorter than 3 are never
-/// "compressed" and incompressible input grows by at most 1/128.
-std::vector<std::uint8_t> rle_compress(std::span<const std::uint8_t> data);
-
-/// Decode an rle_compress() stream into exactly out.size() bytes. Throws
-/// DeserializeError if the stream is truncated, overruns the output, or
-/// decodes to fewer bytes than expected.
-void rle_decompress(std::span<const std::uint8_t> data, std::span<std::uint8_t> out);
 
 // The stream format is little-endian; on little-endian hosts (the only kind
 // we target; enforced here) scalars can be appended with a plain memcpy.

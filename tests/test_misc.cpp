@@ -28,7 +28,7 @@ TEST(CheckpointMismatch, RestoreIntoDifferentMemoryGeometryThrows) {
   other.mem.phys_bytes = 2 * 1024 * 1024;  // different geometry
   sim::Simulation b(other, app.program);
   b.spawn_main_thread();
-  EXPECT_THROW(ckpt.restore_into(b), util::DeserializeError);
+  EXPECT_THROW(chkpt::CheckpointImage::parse(ckpt).restore_into(b), util::DeserializeError);
 }
 
 TEST(CheckpointMismatch, RestoreIntoDifferentCpuModelStillWorks) {
@@ -48,7 +48,7 @@ TEST(CheckpointMismatch, RestoreIntoDifferentCpuModelStillWorks) {
   cfg2.cpu = sim::CpuKind::Pipelined;
   sim::Simulation b(cfg2, app.program);
   b.spawn_main_thread();
-  ckpt.restore_into(b);
+  chkpt::CheckpointImage::parse(ckpt).restore_into(b);
   EXPECT_EQ(b.active_cpu_kind(), sim::CpuKind::AtomicSimple);
   const auto rr = b.run(2'000'000'000ull);
   EXPECT_EQ(rr.reason, sim::ExitReason::AllThreadsExited);

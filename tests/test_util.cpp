@@ -114,66 +114,6 @@ TEST(BytesIo, ScalarRoundTrip) {
   EXPECT_TRUE(r.at_end());
 }
 
-TEST(Rle, ZeroAndConstantPagesCompressToNearNothing) {
-  const std::vector<std::uint8_t> zeros(4096, 0);
-  const auto enc = rle_compress(zeros);
-  // 4096 bytes = 32 full repeat runs of 130 + remainder: a few dozen bytes.
-  EXPECT_LT(enc.size(), 80u);
-  std::vector<std::uint8_t> out(4096, 0xff);
-  rle_decompress(enc, out);
-  EXPECT_EQ(out, zeros);
-}
-
-TEST(Rle, RoundTripsArbitraryData) {
-  Rng rng(2024);
-  for (const std::size_t len : {std::size_t(0), std::size_t(1), std::size_t(130),
-                                std::size_t(131), std::size_t(4096)}) {
-    // Mix of runs and noise.
-    std::vector<std::uint8_t> data(len);
-    for (std::size_t i = 0; i < len; ++i)
-      data[i] = (i / 7) % 3 == 0 ? 0xaa : std::uint8_t(rng.next());
-    const auto enc = rle_compress(data);
-    std::vector<std::uint8_t> out(len, 0x5c);
-    rle_decompress(enc, out);
-    EXPECT_EQ(out, data) << "len=" << len;
-  }
-}
-
-TEST(Rle, IncompressibleDataGrowsByAtMostOneIn128) {
-  Rng rng(7);
-  std::vector<std::uint8_t> data(4096);
-  for (auto& b : data) b = std::uint8_t(rng.next());
-  const auto enc = rle_compress(data);
-  EXPECT_LE(enc.size(), data.size() + data.size() / 128 + 1);
-}
-
-TEST(Rle, MalformedStreamsThrowInsteadOfOverrunning) {
-  const std::vector<std::uint8_t> page(256, 7);
-  const auto enc = rle_compress(page);
-
-  // Truncated stream.
-  std::vector<std::uint8_t> out(256);
-  auto cut = enc;
-  cut.resize(cut.size() / 2);
-  EXPECT_THROW(rle_decompress(cut, out), DeserializeError);
-
-  // Decodes to more bytes than the output has room for.
-  std::vector<std::uint8_t> small(8);
-  EXPECT_THROW(rle_decompress(enc, small), DeserializeError);
-
-  // Decodes to fewer bytes than expected.
-  std::vector<std::uint8_t> big(1024);
-  EXPECT_THROW(rle_decompress(enc, big), DeserializeError);
-
-  // Literal run header promising bytes the stream does not contain.
-  const std::vector<std::uint8_t> lit_trunc = {0x7f, 1, 2, 3};
-  EXPECT_THROW(rle_decompress(lit_trunc, out), DeserializeError);
-
-  // Repeat run header with no value byte.
-  const std::vector<std::uint8_t> rep_trunc = {0x80};
-  EXPECT_THROW(rle_decompress(rep_trunc, out), DeserializeError);
-}
-
 TEST(BytesIo, GetSpanConsumesAndValidates) {
   ByteWriter w;
   w.put_u32(0xdeadbeef);
